@@ -21,8 +21,9 @@ from .syntax import collapse, parse, parse_context, unparse
 from .rccs import (backward_steps, barbs, erase, forward_steps, lift,
                    normalize, origin, reachable_states)
 from .encoding import encode_ccs, encode_rccs
-from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_terms,
-                           forward_strong_bisim, hhpb, synthesize_context)
+from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
+                           barbed_bf_bisim_terms, forward_strong_bisim, hhpb,
+                           synthesize_context)
 
 
 @dataclass
@@ -167,7 +168,7 @@ def cmd_check(args) -> int:
         _guard_events(s1, cfg)
         _guard_events(s2, cfg)
         verdict = hhpb(s1, s2)
-    elif args.equiv in ("barbed", "bfbarb"):
+    elif args.equiv == "barbed":
         verdict = barbed_bf_bisim_terms(lift(p1), lift(p2))
     else:
         verdict = EquivalenceVerdict(forward_strong_bisim(p1, p2))
@@ -186,28 +187,26 @@ def cmd_discriminate(args) -> int:
         print("processes are HHPB-related; nothing to discriminate",
               file=sys.stderr)
         return 2
-    if not verdict.related:
-        ctx = None
-        if cfg.contexts_file:
-            with open(cfg.contexts_file) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    cand = parse_context(line)
-                    from .equivalences import barbed_bf_bisim_structs
-                    related = barbed_bf_bisim_structs(
-                        encode_ccs(syntax.instantiate(cand, p1)),
-                        encode_ccs(syntax.instantiate(cand, p2))).related
-                    if not related:
-                        ctx = cand
-                        break
-        else:
-            found = synthesize_context(p1, p2, max_factors=cfg.max_context)
-            ctx = found[0] if found else None
-        if ctx is not None:
-            verdict = EquivalenceVerdict(False, verdict.failing_stratum,
-                                         verdict.witness, unparse(ctx))
+    ctx = None
+    if cfg.contexts_file:
+        with open(cfg.contexts_file) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                cand = parse_context(line)
+                related = barbed_bf_bisim_structs(
+                    encode_ccs(syntax.instantiate(cand, p1)),
+                    encode_ccs(syntax.instantiate(cand, p2))).related
+                if not related:
+                    ctx = cand
+                    break
+    else:
+        found = synthesize_context(p1, p2, max_factors=cfg.max_context)
+        ctx = found[0] if found else None
+    if ctx is not None:
+        verdict = EquivalenceVerdict(False, verdict.failing_stratum,
+                                     verdict.witness, unparse(ctx))
     return _emit_verdict(verdict, cfg)
 
 
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--equiv",
-                   choices=("hhpb", "barbed", "bfbarb", "forward", "strong"),
+                   choices=("hhpb", "barbed", "forward"),
                    default="hhpb")
     _add_common(p)
     p.set_defaults(func=cmd_check)
@@ -260,6 +259,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (syntax.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

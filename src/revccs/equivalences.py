@@ -19,8 +19,8 @@ from .confstruct import ConfStruct
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
                      all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
-from .rccs import (RTerm, ccs_state_key, ccs_steps, forward_steps, lift,
-                   normalize, reachable_states, state_key)
+from .rccs import (RTerm, StateGraph, ccs_state_key, ccs_steps, lift,
+                   reachable_states)
 
 
 class BoundExceeded(RuntimeError):
@@ -330,107 +330,87 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Back-and-forth barbed bisimulation on structures
+# Bisimulation games as coarsest stable partitions
 
-def _config_barbs(c: ConfStruct, x: frozenset) -> frozenset:
-    return frozenset(c.label(e) for e in c.extensions(x)
-                     if not c.label(e).is_tau)
+def _coarsest_blocks(nodes: dict, succ) -> dict:
+    """Coarsest partition refining ``nodes`` (node -> initial class) that is
+    stable under ``succ`` (node -> (label, target) moves), as node -> block.
+
+    Nodes share a block iff they are bisimilar: each round splits blocks by
+    the labelled blocks their moves reach, until no block splits.
+    """
+    block, count = nodes, len(set(nodes.values()))
+    while True:
+        ids: dict = {}
+        block = {n: ids.setdefault(
+                     (block[n], frozenset((a, block[d]) for a, d in succ[n])),
+                     len(ids))
+                 for n in block}
+        if len(ids) == count:
+            return block
+        count = len(ids)
+
+
+def _barbed_game(side1, side2, starts=None) -> EquivalenceVerdict:
+    """The barbed back-and-forth game between two state graphs.
+
+    A side is (states, forward edges (src, action, dst), start state).  A
+    state's barbs are its visible actions; silent edges are moves ``"f"``
+    forward and ``"b"`` backward.  ``starts`` names the start states in
+    witnesses.
+    """
+    barbs: dict = {}
+    succ = defaultdict(list)
+    for tag, (states, edges, _) in enumerate((side1, side2)):
+        barbs.update({(tag, key): set() for key in states})
+        for src, action, dst in edges:
+            if action.is_tau:
+                succ[tag, src].append(("f", (tag, dst)))
+                succ[tag, dst].append(("b", (tag, src)))
+            else:
+                barbs[tag, src].add(action)
+    initial = {node: frozenset(b) for node, b in barbs.items()}
+    block = _coarsest_blocks(initial, succ)
+    s1, s2 = (0, side1[2]), (1, side2[2])
+    if block[s1] == block[s2]:
+        return EquivalenceVerdict(True)
+    if initial[s1] != initial[s2]:
+        at = " at the start" if starts else ""
+        return EquivalenceVerdict(False, witness=f"barbs differ{at}")
+    # the partition is stable, so some challenge from the start pair fails
+    for move, word in (("f", "silent move"), ("b", "silent undo")):
+        for i, (who, me, other) in enumerate((("left", s1, s2),
+                                               ("right", s2, s1))):
+            answers = {block[d] for m, d in succ[other] if m == move}
+            if any(m == move and block[d] not in answers for m, d in succ[me]):
+                at = f" at {starts[i]}" if starts else ""
+                return EquivalenceVerdict(
+                    False, witness=f"{who} {word} unanswered{at}")
+
+
+def _config_graph(c: ConfStruct):
+    return (c.configs, [(x, c.label(e), x | {e})
+                        for x in c.configs for e in c.extensions(x)],
+            frozenset())
 
 
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct
                             ) -> EquivalenceVerdict:
     """Barb-preserving bisimulation matching silent moves both ways."""
-    def taus(c, x, forward):
-        moves = c.extensions(x) if forward else c.retractions(x)
-        return [e for e in moves if c.label(e).is_tau]
-
-    pairs = {(x1, x2) for x1 in c1.configs for x2 in c2.configs}
-    reasons: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(pairs):
-            x1, x2 = pair
-            reason = None
-            if _config_barbs(c1, x1) != _config_barbs(c2, x2):
-                reason = "barbs differ"
-            else:
-                for forward in (True, False):
-                    word = "silent move" if forward else "silent undo"
-                    step = (lambda x, e: x | {e}) if forward else (lambda x, e: x - {e})
-                    if any(not any((step(x1, e1), step(x2, e2)) in pairs
-                                   for e2 in taus(c2, x2, forward))
-                           for e1 in taus(c1, x1, forward)):
-                        reason = f"left {word} unanswered"
-                        break
-                    if any(not any((step(x1, e1), step(x2, e2)) in pairs
-                                   for e1 in taus(c1, x1, forward))
-                           for e2 in taus(c2, x2, forward)):
-                        reason = f"right {word} unanswered"
-                        break
-            if reason is not None:
-                pairs.discard(pair)
-                reasons.setdefault(pair, reason)
-                changed = True
-    start = (frozenset(), frozenset())
-    if start in pairs:
-        return EquivalenceVerdict(True)
-    return EquivalenceVerdict(False, witness=reasons.get(start))
+    return _barbed_game(_config_graph(c1), _config_graph(c2))
 
 
-# ---------------------------------------------------------------------------
-# Back-and-forth barbed bisimulation on reversible terms
-
-def _term_game(t: RTerm, max_states: Optional[int]):
-    graph = reachable_states(t, max_states)
-    tau_fwd = defaultdict(set)
-    tau_bwd = defaultdict(set)
-    for src, lbl, dst in graph.edges:
-        if lbl.action.is_tau:
-            tau_fwd[src].add(dst)
-            tau_bwd[dst].add(src)
-    barb_map = {}
-    for key, term in graph.nodes.items():
-        barb_map[key] = frozenset(l.action for l, _ in forward_steps(term, check=False)
-                                  if not l.action.is_tau)
-    return graph, tau_fwd, tau_bwd, barb_map
+def _state_graph(g: StateGraph):
+    return g.nodes, [(s, lbl.action, d) for s, lbl, d in g.edges], g.initial
 
 
 def barbed_bf_bisim_terms(t1: RTerm, t2: RTerm,
                           max_states: Optional[int] = None
                           ) -> EquivalenceVerdict:
     """The barbed back-and-forth game played on reachable state graphs."""
-    g1, fwd1, bwd1, barbs1 = _term_game(normalize(t1), max_states)
-    g2, fwd2, bwd2, barbs2 = _term_game(normalize(t2), max_states)
-    pairs = {(k1, k2) for k1 in g1.nodes for k2 in g2.nodes
-             if barbs1[k1] == barbs2[k2]}
-    reasons: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(pairs):
-            k1, k2 = pair
-            reason = None
-            for moves1, moves2, word in ((fwd1, fwd2, "silent move"),
-                                         (bwd1, bwd2, "silent undo")):
-                if any(not any((d1, d2) in pairs for d2 in moves2[k2])
-                       for d1 in moves1[k1]):
-                    reason = f"left {word} unanswered at {g1.nodes[k1]}"
-                    break
-                if any(not any((d1, d2) in pairs for d1 in moves1[k1])
-                       for d2 in moves2[k2]):
-                    reason = f"right {word} unanswered at {g2.nodes[k2]}"
-                    break
-            if reason is not None:
-                pairs.discard(pair)
-                reasons.setdefault(pair, reason)
-                changed = True
-    start = (g1.initial, g2.initial)
-    if start in pairs:
-        return EquivalenceVerdict(True)
-    if barbs1[g1.initial] != barbs2[g2.initial]:
-        return EquivalenceVerdict(False, witness="barbs differ at the start")
-    return EquivalenceVerdict(False, witness=reasons.get(start))
+    g1, g2 = reachable_states(t1, max_states), reachable_states(t2, max_states)
+    return _barbed_game(_state_graph(g1), _state_graph(g2),
+                        (g1.nodes[g1.initial], g2.nodes[g2.initial]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,38 +540,19 @@ def check_congruence_closure(p1: Process, p2: Process,
 
 def forward_strong_bisim(p1: Process, p2: Process) -> bool:
     """Classical strong bisimilarity of the erased, forward-only semantics."""
-    def explore(p):
-        nodes = {}
-        succs = defaultdict(list)
-        start = ccs_state_key(p)
-        nodes[start] = p
-        frontier = [p]
+    succ: dict = {}
+    starts = []
+    for tag, p in enumerate((p1, p2)):
+        starts.append((tag, ccs_state_key(p)))
+        succ[starts[-1]] = []
+        frontier = [(starts[-1], p)]
         while frontier:
-            cur = frontier.pop()
-            ck = ccs_state_key(cur)
+            node, cur = frontier.pop()
             for a, nxt in ccs_steps(cur):
-                nk = ccs_state_key(nxt)
-                if nk not in nodes:
-                    nodes[nk] = nxt
-                    frontier.append(nxt)
-                move = ((a.kind, a.channel), nk)
-                if move not in succs[ck]:
-                    succs[ck].append(move)
-        return start, nodes, succs
-
-    s1, nodes1, succ1 = explore(p1)
-    s2, nodes2, succ2 = explore(p2)
-    pairs = {(k1, k2) for k1 in nodes1 for k2 in nodes2}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(pairs):
-            k1, k2 = pair
-            ok = (all(any(a == b and (d1, d2) in pairs for b, d2 in succ2[k2])
-                      for a, d1 in succ1[k1])
-                  and all(any(a == b and (d1, d2) in pairs for a, d1 in succ1[k1])
-                          for b, d2 in succ2[k2]))
-            if not ok:
-                pairs.discard(pair)
-                changed = True
-    return (s1, s2) in pairs
+                target = (tag, ccs_state_key(nxt))
+                if target not in succ:
+                    succ[target] = []
+                    frontier.append((target, nxt))
+                succ[node].append((a, target))
+    block = _coarsest_blocks(dict.fromkeys(succ, 0), succ)
+    return block[starts[0]] == block[starts[1]]

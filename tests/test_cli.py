@@ -22,6 +22,15 @@ class TestParse:
         code, _, err = run_cli(capsys, "parse", "a.0 +")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "a." * 1200 + "0", "a.0"),
+        ("parse", "{" * 600 + "a.0" + "}" * 600),
+    ])
+    def test_deep_nesting(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: input nested too deeply\n"
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "parse", "a.b.0+a.b.0", "--format", "json")
         data = json.loads(out)
@@ -92,7 +101,7 @@ class TestCheck:
 
     def test_strong_headline(self, capsys):
         code, out, _ = run_cli(capsys, "check", "a.0|b.0", "a.b.0+b.a.0",
-                               "--equiv", "strong")
+                               "--equiv", "forward")
         assert code == 0 and "related" in out
 
     def test_hhpb_reflexive(self, capsys):
@@ -100,8 +109,14 @@ class TestCheck:
         assert code == 0
 
     def test_barbed(self, capsys):
-        code, _, _ = run_cli(capsys, "check", "a.0", "b.0", "--equiv", "bfbarb")
+        code, _, _ = run_cli(capsys, "check", "a.0", "b.0", "--equiv", "barbed")
         assert code == 1
+
+    def test_barbed_witness(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "tau.a.0", "tau.0",
+                               "--equiv", "barbed")
+        assert code == 1
+        assert "witness: left silent move unanswered at {} |> tau.a.0\n" in out
 
     def test_json_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "check", "a.0|b.0", "a.b.0+b.a.0",

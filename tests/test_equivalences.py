@@ -2,9 +2,11 @@
 
 import pytest
 
+from corpus import corpus_pairs
 from revccs.syntax import instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
-from revccs.rccs import lift
+from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
+                         reachable_states)
 from revccs.equivalences import (BoundExceeded, hhpb,
                                  barbed_bf_bisim_structs,
                                  barbed_bf_bisim_terms, build_stratification,
@@ -156,3 +158,65 @@ class TestForwardBisim:
 
     def test_sync(self):
         assert forward_strong_bisim(parse("(a){a.0 | 'a.0}"), parse("tau.0"))
+
+
+# ---------------------------------------------------------------------------
+# Pairwise greatest-fixpoint reference for the barbed and forward games
+
+def _gfp_related(side1, side2) -> bool:
+    """Drop pairs with unequal classes or an unanswered challenge until none
+    is dropped; a side is (node -> class, node -> {(label, target)}, start)."""
+    cls1, succ1, start1 = side1
+    cls2, succ2, start2 = side2
+    pairs = {(a, b) for a in cls1 for b in cls2 if cls1[a] == cls2[b]}
+
+    def answered(moves, replies, flip):
+        return all(any(l == m and ((y, x) if flip else (x, y)) in pairs
+                       for m, y in replies) for l, x in moves)
+
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            if not (answered(succ1[a], succ2[b], False)
+                    and answered(succ2[b], succ1[a], True)):
+                pairs.discard((a, b))
+                changed = True
+    return (start1, start2) in pairs
+
+
+def _barbed_side(p):
+    g = reachable_states(lift(p))
+    barbs = {k: frozenset(l.action for l, _ in forward_steps(t)
+                          if not l.action.is_tau)
+             for k, t in g.nodes.items()}
+    succ = {k: set() for k in g.nodes}
+    for src, lbl, dst in g.edges:
+        if lbl.action.is_tau:
+            succ[src].add(("f", dst))
+            succ[dst].add(("b", src))
+    return barbs, succ, g.initial
+
+
+def _forward_side(p):
+    succ, frontier = {}, [p]
+    while frontier:
+        cur = frontier.pop()
+        if ccs_state_key(cur) not in succ:
+            moves = ccs_steps(cur)
+            succ[ccs_state_key(cur)] = {(a, ccs_state_key(q)) for a, q in moves}
+            frontier.extend(q for _, q in moves)
+    return dict.fromkeys(succ, None), succ, ccs_state_key(p)
+
+
+def test_games_agree_on_corpus():
+    for p1, p2 in corpus_pairs():
+        pair = (unparse(p1), unparse(p2))
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        barbed = barbed_bf_bisim_terms(lift(p1), lift(p2)).related
+        forward = forward_strong_bisim(p1, p2)
+        assert barbed_bf_bisim_structs(s1, s2).related == barbed, pair
+        assert not hhpb(s1, s2).related or (barbed and forward), pair
+        assert barbed == _gfp_related(_barbed_side(p1), _barbed_side(p2)), pair
+        assert forward == _gfp_related(_forward_side(p1),
+                                       _forward_side(p2)), pair
