@@ -20,7 +20,7 @@ from . import syntax
 from .syntax import collapse, parse, parse_context, unparse
 from .rccs import (backward_steps, barbs, erase, forward_steps, lift,
                    normalize, origin, reachable_states)
-from .encoding import encode_ccs, encode_rccs
+from .encoding import encode_ccs
 from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
                            barbed_bf_bisim_terms, forward_strong_bisim, hhpb,
                            synthesize_context)
@@ -59,11 +59,14 @@ def _prepare(text: str, cfg: RunConfig):
     return collapse(parse(text), par_rule=cfg.par_collapse)
 
 
-def _guard_events(struct, cfg: RunConfig):
+def _encode_guarded(p, cfg: RunConfig):
+    """The denotation of ``p``, refused when it is over ``--max-events``."""
+    struct = encode_ccs(p)
     if len(struct.events) > cfg.max_events:
         raise ValueError(
             f"denotation has {len(struct.events)} events, over the "
             f"--max-events bound of {cfg.max_events}")
+    return struct
 
 
 def cmd_parse(args) -> int:
@@ -86,8 +89,7 @@ def cmd_encode(args) -> int:
         raise ValueError(
             "term is outside the encodable fragment (auto-concurrency or "
             "auto-conflict): " + "; ".join(str(c) for c in clashes))
-    struct = encode_ccs(term)
-    _guard_events(struct, cfg)
+    struct = _encode_guarded(term, cfg)
     if cfg.fmt == "json":
         print(json.dumps(cs.to_json(struct)))
     elif cfg.fmt == "dot":
@@ -163,10 +165,8 @@ def cmd_check(args) -> int:
     cfg = _config(args)
     p1 = _prepare(args.left, cfg)
     p2 = _prepare(args.right, cfg)
+    s1, s2 = _encode_guarded(p1, cfg), _encode_guarded(p2, cfg)
     if args.equiv == "hhpb":
-        s1, s2 = encode_ccs(p1), encode_ccs(p2)
-        _guard_events(s1, cfg)
-        _guard_events(s2, cfg)
         verdict = hhpb(s1, s2)
     elif args.equiv == "barbed":
         verdict = barbed_bf_bisim_terms(lift(p1), lift(p2))
@@ -179,10 +179,7 @@ def cmd_discriminate(args) -> int:
     cfg = _config(args)
     p1 = _prepare(args.left, cfg)
     p2 = _prepare(args.right, cfg)
-    s1, s2 = encode_ccs(p1), encode_ccs(p2)
-    _guard_events(s1, cfg)
-    _guard_events(s2, cfg)
-    verdict = hhpb(s1, s2)
+    verdict = hhpb(_encode_guarded(p1, cfg), _encode_guarded(p2, cfg))
     if verdict.related:
         print("processes are HHPB-related; nothing to discriminate",
               file=sys.stderr)

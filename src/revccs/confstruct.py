@@ -41,15 +41,21 @@ KILLED = Killed()
 
 
 class ConfStruct:
-    """Immutable labelled configuration structure."""
+    """Immutable labelled configuration structure.
 
-    __slots__ = ("events", "configs", "_labels", "_hash")
+    Data derived from the structure (extensions and causal order per
+    configuration) is computed on first use and kept in the structure.
+    """
+
+    __slots__ = ("events", "configs", "_labels", "_hash", "_exts", "_orders")
 
     def __init__(self, events: Iterable, configs: Iterable, labels: dict):
         object.__setattr__(self, "events", frozenset(events))
         object.__setattr__(self, "configs", frozenset(frozenset(x) for x in configs))
         object.__setattr__(self, "_labels", dict(labels))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_exts", {})
+        object.__setattr__(self, "_orders", {})
         missing = self.events - set(self._labels)
         if missing:
             raise ValueError(f"unlabelled events: {missing!r}")
@@ -84,9 +90,15 @@ class ConfStruct:
     def max_card(self) -> int:
         return max((len(x) for x in self.configs), default=0)
 
-    def extensions(self, x: frozenset):
-        """Events e with x ∪ {e} a configuration."""
-        return [e for e in self.events if e not in x and (x | {e}) in self.configs]
+    def extensions(self, x: frozenset) -> tuple:
+        """Events e with x ∪ {e} a configuration, ordered by ``repr`` so
+        that everything iterating them runs the same way in every process."""
+        ext = self._exts.get(x)
+        if ext is None:
+            ext = self._exts[x] = tuple(sorted(
+                (e for e in self.events if e not in x and (x | {e}) in self.configs),
+                key=repr))
+        return ext
 
     def retractions(self, x: frozenset):
         """Events e in x with x \\ {e} a configuration."""
@@ -161,6 +173,11 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
                 if repr(e1) < repr(e2):
                     if not any(z <= x and ((e1 in z) != (e2 in z)) for z in configs):
                         out.append(("coincidence-freeness", (x, e1, e2)))
+    # every upper bound lies below a configuration with no extension (a
+    # maximal one in particular); bit i of above[x] marks the i-th of those
+    # that contains x, so x and y are bounded iff above[x] & above[y]
+    tops = [z for z in configs if not c.extensions(z)]
+    above = {x: sum(1 << i for i, z in enumerate(tops) if x <= z) for x in configs}
     config_list = sorted(configs, key=len)
     for i, x in enumerate(config_list):
         for y in config_list[i:]:
@@ -168,7 +185,7 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
             if u in configs:
                 if (x & y) not in configs:
                     out.append(("stability", (x, y)))
-            elif any(u <= z for z in configs):
+            elif above[x] & above[y]:
                 out.append(("finite-completeness", (x, y)))
     return out
 
@@ -192,8 +209,7 @@ def product(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
         x = frontier.pop()
         x1 = frozenset(e[1] for e in x if e[1] is not None)
         x2 = frozenset(e[2] for e in x if e[2] is not None)
-        ext1 = [e1 for e1 in c1.events if e1 not in x1 and (x1 | {e1}) in c1.configs]
-        ext2 = [e2 for e2 in c2.events if e2 not in x2 and (x2 | {e2}) in c2.configs]
+        ext1, ext2 = c1.extensions(x1), c2.extensions(x2)
         candidates = ([mk(e1, None) for e1 in ext1]
                       + [mk(None, e2) for e2 in ext2]
                       + [mk(e1, e2) for e1 in ext1 for e2 in ext2])
@@ -300,15 +316,15 @@ def residual(c: ConfStruct, x: frozenset) -> ConfStruct:
 def causal_order(c: ConfStruct, x: frozenset) -> frozenset:
     """The happens-before relation on ``x`` as a set of (cause, effect) pairs."""
     x = frozenset(x)
-    if x not in c.configs:
-        raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
-    subs = [z for z in c.configs if z <= x]
-    pairs = set()
-    for e1 in x:
-        for e2 in x:
-            if all(e1 in z for z in subs if e2 in z):
-                pairs.add((e1, e2))
-    return frozenset(pairs)
+    order = c._orders.get(x)
+    if order is None:
+        if x not in c.configs:
+            raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
+        subs = [z for z in c.configs if z <= x]
+        order = c._orders[x] = frozenset(
+            (e1, e2) for e1 in x for e2 in x
+            if all(e1 in z for z in subs if e2 in z))
+    return order
 
 
 def strictly_below(order: frozenset, e1, e2) -> bool:
@@ -442,8 +458,16 @@ def is_substructure(c1: ConfStruct, c2: ConfStruct, align: dict | None = None) -
 # Serialization
 
 def canonical_event_ids(c: ConfStruct) -> dict:
-    """Deterministic event naming by (causal depth, label, provenance)."""
-    order = sorted(c.events, key=lambda e: (depth(c, e), str(c.label(e)), repr(e)))
+    """Deterministic event naming by (causal depth, label, provenance).
+
+    Dead events (in no configuration, as restriction can leave) come last.
+    """
+    depths: dict = {}
+    for x in sorted(c.configs, key=len):
+        for e in x:
+            depths.setdefault(e, len(x))
+    order = sorted(c.events, key=lambda e: (depths.get(e, len(c.events) + 1),
+                                            str(c.label(e)), repr(e)))
     return {e: f"e{i}" for i, e in enumerate(order)}
 
 

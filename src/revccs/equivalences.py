@@ -10,7 +10,7 @@ from the losing configuration and verified in the barbed game.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,25 +48,13 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Order-respecting label bijections between configurations
+# Order-preserving label bijections between configurations
 
-_order_cache: dict = {}
-
-
-def _causal(c: ConfStruct, x: frozenset) -> frozenset:
-    key = (c, x)
-    if key not in _order_cache:
-        _order_cache[key] = cs.causal_order(c, x)
-    return _order_cache[key]
-
-
-def _order_maps(c1: ConfStruct, x1: frozenset, c2: ConfStruct, x2: frozenset,
-                both_ways: bool) -> list[dict]:
+def _order_maps(c1: ConfStruct, x1: frozenset, c2: ConfStruct, x2: frozenset
+                ) -> list[dict]:
     """Label-preserving bijections from x1 to x2 that preserve the causal
-    order, and also reflect it when ``both_ways`` is set."""
-    if len(x1) != len(x2):
-        return []
-    o1, o2 = _causal(c1, x1), _causal(c2, x2)
+    order."""
+    o1, o2 = cs.causal_order(c1, x1), cs.causal_order(c2, x2)
     events1 = sorted(x1, key=repr)
     out: list[dict] = []
     mapping: dict = {}
@@ -75,14 +63,9 @@ def _order_maps(c1: ConfStruct, x1: frozenset, c2: ConfStruct, x2: frozenset,
     def compatible(e1, e2) -> bool:
         if c1.label(e1) != c2.label(e2):
             return False
-        for d1, d2 in mapping.items():
-            if ((d1, e1) in o1) != ((d2, e2) in o2):
-                if (d1, e1) in o1 or both_ways:
-                    return False
-            if ((e1, d1) in o1) != ((e2, d2) in o2):
-                if (e1, d1) in o1 or both_ways:
-                    return False
-        return True
+        return all(((d1, e1) not in o1 or (d2, e2) in o2)
+                   and ((e1, d1) not in o1 or (e2, d2) in o2)
+                   for d1, d2 in mapping.items())
 
     def rec(i: int):
         if i == len(events1):
@@ -102,13 +85,28 @@ def _order_maps(c1: ConfStruct, x1: frozenset, c2: ConfStruct, x2: frozenset,
     return out
 
 
-def _all_triples(c1: ConfStruct, c2: ConfStruct, both_ways: bool) -> set:
-    triples = set()
-    for x1 in c1.configs:
-        for x2 in c2.configs:
-            for f in _order_maps(c1, x1, c2, x2, both_ways):
-                triples.add((x1, x2, frozenset(f.items())))
-    return triples
+def _all_triples(c1: ConfStruct, c2: ConfStruct) -> set:
+    """Every (x1, x2, f) with f an order-preserving label bijection; only
+    configurations with the same multiset of labels are compared."""
+    def bag(c, x):
+        return frozenset(Counter(c.label(e) for e in x).items())
+
+    right = defaultdict(list)
+    for x2 in c2.configs:
+        right[bag(c2, x2)].append(x2)
+    return {(x1, x2, frozenset(f.items()))
+            for x1 in c1.configs for x2 in right.get(bag(c1, x1), ())
+            for f in _order_maps(c1, x1, c2, x2)}
+
+
+def _isomorphisms(c1: ConfStruct, c2: ConfStruct, triples) -> set:
+    """The triples whose bijection also reflects the causal order.
+
+    A preserving bijection maps the left order's pairs one-to-one into the
+    right order's, so it reflects the order iff the two have equal size.
+    """
+    return {t for t in triples if len(cs.causal_order(c1, t[0]))
+            == len(cs.causal_order(c2, t[1]))}
 
 
 def _forth_ok(triple, c1, c2, reference) -> Optional[str]:
@@ -129,14 +127,10 @@ def _back_ok(triple, c1, c2, reference) -> Optional[str]:
     f = dict(fs)
     g = {e2: e1 for e1, e2 in fs}
     for e1 in c1.retractions(x1):
-        e2 = f[e1]
-        if ((x2 - {e2}) not in c2.configs
-                or (x1 - {e1}, x2 - {e2}, fs - {(e1, e2)}) not in reference):
+        if (x1 - {e1}, x2 - {f[e1]}, fs - {(e1, f[e1])}) not in reference:
             return f"left retraction {c1.label(e1)} unanswered"
     for e2 in c2.retractions(x2):
-        e1 = g[e2]
-        if ((x1 - {e1}) not in c1.configs
-                or (x1 - {e1}, x2 - {e2}, fs - {(e1, e2)}) not in reference):
+        if (x1 - {g[e2]}, x2 - {e2}, fs - {(g[e2], e2)}) not in reference:
             return f"right retraction {c2.label(e2)} unanswered"
     return None
 
@@ -150,24 +144,20 @@ _hhpb_cache: dict = {}
 def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
     """The maximal back-and-forth history-preserving bisimulation, as the
     set of surviving triples (x1, x2, frozen bijection)."""
-    relation, _ = _hhpb_gfp(c1, c2)
-    return relation
+    return _hhpb_gfp(c1, c2, _all_triples(c1, c2))
 
 
-def _hhpb_gfp(c1: ConfStruct, c2: ConfStruct):
-    relation = _all_triples(c1, c2, both_ways=True)
-    reasons: dict = {}
+def _hhpb_gfp(c1: ConfStruct, c2: ConfStruct, triples) -> set:
+    relation = _isomorphisms(c1, c2, triples)
     changed = True
     while changed:
         changed = False
         for triple in list(relation):
-            reason = (_forth_ok(triple, c1, c2, relation)
-                      or _back_ok(triple, c1, c2, relation))
-            if reason is not None:
+            if (_forth_ok(triple, c1, c2, relation)
+                    or _back_ok(triple, c1, c2, relation)):
                 relation.discard(triple)
-                reasons.setdefault(triple, reason)
                 changed = True
-    return relation, reasons
+    return relation
 
 
 def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
@@ -181,15 +171,17 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     key = (c1, c2)
     if key in _hhpb_cache:
         return _hhpb_cache[key]
-    relation, reasons = _hhpb_gfp(c1, c2)
-    related = _EMPTY_TRIPLE in relation
-    if related:
+    triples = _all_triples(c1, c2)
+    relation = _hhpb_gfp(c1, c2, triples)
+    if _EMPTY_TRIPLE in relation:
         verdict = EquivalenceVerdict(True)
     else:
-        stratum, witness = _diagnose(c1, c2)
-        if witness is None:
-            witness = reasons.get(_EMPTY_TRIPLE)
-        verdict = EquivalenceVerdict(False, stratum, witness)
+        stratum, witness = _diagnose(c1, _stratify(c1, c2, triples))
+        # the empty triple has no retractions: had all its forward
+        # challenges been answered, the relation would not be maximal
+        verdict = EquivalenceVerdict(
+            False, stratum,
+            witness or _forth_ok(_EMPTY_TRIPLE, c1, c2, relation))
     _hhpb_cache[key] = verdict
     return verdict
 
@@ -218,9 +210,13 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     layer 0; backward layer i keeps the triples of forward layer i whose
     retractions land in the meet of the two layers below.
     """
+    return _stratify(c1, c2, _all_triples(c1, c2))
+
+
+def _stratify(c1: ConfStruct, c2: ConfStruct, triples) -> StratifiedRelation:
     k = c1.max_card()
     by_card: dict[int, set] = defaultdict(set)
-    for t in _all_triples(c1, c2, both_ways=False):
+    for t in triples:
         by_card[len(t[0])].add(t)
     forth = [set() for _ in range(k + 1)]
     forth[k] = by_card[k]
@@ -239,9 +235,8 @@ def _config_label_names(c: ConfStruct, x: frozenset) -> str:
     return "{" + ",".join(sorted(str(c.label(e)) for e in x)) + "}"
 
 
-def _diagnose(c1: ConfStruct, c2: ConfStruct):
+def _diagnose(c1: ConfStruct, strata: StratifiedRelation):
     """Least stratum whose layers exclude some left configuration."""
-    strata = build_stratification(c1, c2)
     by_card: dict[int, list] = defaultdict(list)
     for x1 in c1.configs:
         by_card[len(x1)].append(x1)
@@ -270,7 +265,7 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
     if len(c1.events) + len(c2.events) > bound:
         raise BoundExceeded(
             f"{len(c1.events)} + {len(c2.events)} events exceed bound {bound}")
-    triples = _all_triples(c1, c2, both_ways=True)
+    triples = _isomorphisms(c1, c2, _all_triples(c1, c2))
 
     def challenges(t):
         x1, x2, fs = t

@@ -1,9 +1,14 @@
 """Command line interface: exit codes, formats, stepping, discrimination."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revccs
 from revccs.cli import main
 
 
@@ -66,6 +71,13 @@ class TestEncode:
         code, _, err = run_cli(capsys, "encode", "a.0|b.0", "--max-events", "1")
         assert code == 2 and "max-events" in err
 
+    def test_dead_event(self, capsys):
+        # restriction kills 'a, leaving the b below it in no configuration
+        code, out, _ = run_cli(capsys, "encode", "(a)'a.b.0", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"events": [{"id": "e0", "label": "b"}],
+                                   "configurations": [[]]}
+
 
 class TestStep:
     def test_initial(self, capsys):
@@ -125,6 +137,12 @@ class TestCheck:
         assert code == 1
         assert data["related"] is False and data["failing_stratum"] == 2
 
+    @pytest.mark.parametrize("equiv", ["hhpb", "barbed", "forward"])
+    def test_max_events(self, capsys, equiv):
+        code, out, err = run_cli(capsys, "check", "a.0|b.0", "a.0|b.0",
+                                 "--equiv", equiv, "--max-events", "1")
+        assert code == 2 and out == "" and "max-events" in err
+
 
 class TestDiscriminate:
     def test_headline(self, capsys):
@@ -148,3 +166,18 @@ class TestDiscriminate:
         code, out, _ = run_cli(capsys, "discriminate", "a.0|b.0",
                                "a.b.0+b.a.0", "--contexts", str(f))
         assert code == 1 and "context:" in out and "d.0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "(a)a.'a.0", "'a.b.0 | a.c.0"),
+    ("encode", "'a.0 | 'b.0 | b.0", "--format", "dot"),
+])
+def test_output_same_in_every_process(argv):
+    # set order changes per process: events hold None, whose hash is its
+    # address, and strings, whose hash is seeded
+    src = str(Path(revccs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "random"}
+    outputs = {subprocess.run([sys.executable, "-m", "revccs.cli", *argv],
+                              env=env, capture_output=True, text=True).stdout
+               for _ in range(4)}
+    assert len(outputs) == 1 and outputs != {""}

@@ -1,8 +1,11 @@
 """Equivalence deciders, stratification, synthesis, congruence closure."""
 
+import itertools
+
 import pytest
 
 from corpus import corpus_pairs
+from revccs.confstruct import causal_order
 from revccs.syntax import instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
@@ -13,7 +16,8 @@ from revccs.equivalences import (BoundExceeded, hhpb,
                                  check_congruence_closure,
                                  default_context_family, forward_strong_bisim,
                                  hhpb_oracle, hhpb_relation,
-                                 synthesize_context)
+                                 synthesize_context, _all_triples,
+                                 _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -220,3 +224,38 @@ def test_games_agree_on_corpus():
         assert barbed == _gfp_related(_barbed_side(p1), _barbed_side(p2)), pair
         assert forward == _gfp_related(_forward_side(p1),
                                        _forward_side(p2)), pair
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference for the HHPB triples
+
+def _reference_triples(c1, c2):
+    """Label bijections between configurations that preserve the causal
+    order, and those that also reflect it, by trying every permutation."""
+    preserving, reflecting = set(), set()
+    for x1, x2 in itertools.product(c1.configs, c2.configs):
+        if len(x1) != len(x2):
+            continue
+        o1, o2 = causal_order(c1, x1), causal_order(c2, x2)
+        events1 = sorted(x1, key=repr)
+        for image in itertools.permutations(x2):
+            f = dict(zip(events1, image))
+            if any(c1.label(e) != c2.label(f[e]) for e in x1):
+                continue
+            mapped = {(f[a], f[b]) for a, b in o1}
+            if mapped <= o2:
+                triple = (x1, x2, frozenset(f.items()))
+                preserving.add(triple)
+                if mapped == o2:
+                    reflecting.add(triple)
+    return preserving, reflecting
+
+
+def test_triples_match_reference_on_corpus():
+    for p1, p2 in corpus_pairs():
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        preserving, reflecting = _reference_triples(s1, s2)
+        triples = _all_triples(s1, s2)
+        assert triples == preserving, (unparse(p1), unparse(p2))
+        assert _isomorphisms(s1, s2, triples) == reflecting, (unparse(p1),
+                                                              unparse(p2))
