@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import confstruct as cs
 from . import syntax
@@ -24,15 +23,6 @@ from .encoding import encode_ccs
 from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
                            barbed_bf_bisim_terms, forward_strong_bisim, hhpb,
                            synthesize_context)
-
-
-@dataclass
-class RunConfig:
-    fmt: str = "text"
-    max_events: int = 10
-    max_context: int = 8
-    par_collapse: bool = True
-    contexts_file: str | None = None
 
 
 def _add_common(sub):
@@ -48,32 +38,24 @@ def _add_common(sub):
                      help="file of candidate contexts, one per line")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(fmt=args.fmt, max_events=args.max_events,
-                     max_context=args.max_context,
-                     par_collapse=not args.no_par_collapse,
-                     contexts_file=args.contexts_file)
+def _prepare(text: str, args):
+    return collapse(parse(text), par_rule=not args.no_par_collapse)
 
 
-def _prepare(text: str, cfg: RunConfig):
-    return collapse(parse(text), par_rule=cfg.par_collapse)
-
-
-def _encode_guarded(p, cfg: RunConfig):
+def _encode_guarded(p, args):
     """The denotation of ``p``, refused when it is over ``--max-events``."""
     struct = encode_ccs(p)
-    if len(struct.events) > cfg.max_events:
+    if len(struct.events) > args.max_events:
         raise ValueError(
             f"denotation has {len(struct.events)} events, over the "
-            f"--max-events bound of {cfg.max_events}")
+            f"--max-events bound of {args.max_events}")
     return struct
 
 
 def cmd_parse(args) -> int:
-    cfg = _config(args)
     term = parse(args.process)
-    collapsed = collapse(term, par_rule=cfg.par_collapse)
-    if cfg.fmt == "json":
+    collapsed = collapse(term, par_rule=not args.no_par_collapse)
+    if args.fmt == "json":
         print(json.dumps({"input": unparse(term), "collapsed": unparse(collapsed),
                           "is_collapsed": term == collapsed}))
     else:
@@ -82,17 +64,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = _config(args)
-    term = _prepare(args.process, cfg)
+    term = _prepare(args.process, args)
     clashes = syntax.detect_auto_conflict_or_concurrency(term)
     if clashes:
         raise ValueError(
             "term is outside the encodable fragment (auto-concurrency or "
             "auto-conflict): " + "; ".join(str(c) for c in clashes))
-    struct = _encode_guarded(term, cfg)
-    if cfg.fmt == "json":
+    struct = _encode_guarded(term, args)
+    if args.fmt == "json":
         print(json.dumps(cs.to_json(struct)))
-    elif cfg.fmt == "dot":
+    elif args.fmt == "dot":
         print(cs.to_dot(struct))
     else:
         data = cs.to_json(struct)
@@ -105,8 +86,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_step(args) -> int:
-    cfg = _config(args)
-    term = normalize(lift(_prepare(args.process, cfg)))
+    term = normalize(lift(_prepare(args.process, args)))
     if args.do:
         for wanted in args.do.split(","):
             wanted = wanted.strip()
@@ -119,7 +99,7 @@ def cmd_step(args) -> int:
                       file=sys.stderr)
                 return 2
             term = moves[0][1]
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         print(reachable_states(term).to_dot())
         return 0
     info = {
@@ -132,7 +112,7 @@ def cmd_step(args) -> int:
         "backward": [{"label": str(l), "to": unparse(erase(t))}
                      for l, t in backward_steps(term)],
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(info))
     else:
         print(f"state:   {info['state']}")
@@ -146,8 +126,8 @@ def cmd_step(args) -> int:
     return 0
 
 
-def _emit_verdict(verdict: EquivalenceVerdict, cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
+def _emit_verdict(verdict: EquivalenceVerdict, args) -> int:
+    if args.fmt == "json":
         print(json.dumps(verdict.to_json()))
     else:
         print("related" if verdict.related else "not related")
@@ -162,36 +142,37 @@ def _emit_verdict(verdict: EquivalenceVerdict, cfg: RunConfig) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
-    p1 = _prepare(args.left, cfg)
-    p2 = _prepare(args.right, cfg)
-    s1, s2 = _encode_guarded(p1, cfg), _encode_guarded(p2, cfg)
+    p1 = _prepare(args.left, args)
+    p2 = _prepare(args.right, args)
+    s1, s2 = _encode_guarded(p1, args), _encode_guarded(p2, args)
     if args.equiv == "hhpb":
         verdict = hhpb(s1, s2)
     elif args.equiv == "barbed":
         verdict = barbed_bf_bisim_terms(lift(p1), lift(p2))
     else:
         verdict = EquivalenceVerdict(forward_strong_bisim(p1, p2))
-    return _emit_verdict(verdict, cfg)
+    return _emit_verdict(verdict, args)
 
 
 def cmd_discriminate(args) -> int:
-    cfg = _config(args)
-    p1 = _prepare(args.left, cfg)
-    p2 = _prepare(args.right, cfg)
-    verdict = hhpb(_encode_guarded(p1, cfg), _encode_guarded(p2, cfg))
+    p1 = _prepare(args.left, args)
+    p2 = _prepare(args.right, args)
+    verdict = hhpb(_encode_guarded(p1, args), _encode_guarded(p2, args))
     if verdict.related:
         print("processes are HHPB-related; nothing to discriminate",
               file=sys.stderr)
         return 2
     ctx = None
-    if cfg.contexts_file:
-        with open(cfg.contexts_file) as fh:
-            for line in fh:
+    if args.contexts_file:
+        with open(args.contexts_file) as fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                cand = parse_context(line)
+                try:
+                    cand = parse_context(line)
+                except syntax.ParseError as exc:
+                    raise ValueError(f"--contexts line {number}: {exc}") from exc
                 related = barbed_bf_bisim_structs(
                     encode_ccs(syntax.instantiate(cand, p1)),
                     encode_ccs(syntax.instantiate(cand, p2))).related
@@ -199,12 +180,12 @@ def cmd_discriminate(args) -> int:
                     ctx = cand
                     break
     else:
-        found = synthesize_context(p1, p2, max_factors=cfg.max_context)
+        found = synthesize_context(p1, p2, max_factors=args.max_context)
         ctx = found[0] if found else None
     if ctx is not None:
         verdict = EquivalenceVerdict(False, verdict.failing_stratum,
                                      verdict.witness, unparse(ctx))
-    return _emit_verdict(verdict, cfg)
+    return _emit_verdict(verdict, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

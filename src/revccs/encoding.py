@@ -29,7 +29,7 @@ class AmbiguousEvent(ValueError):
     autoconflict or autoconcurrency, so addresses are not unique."""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def encode_ccs(p: Process) -> ConfStruct:
     if isinstance(p, Nil):
         return cs.EMPTY
@@ -88,19 +88,12 @@ def address(origin_struct: ConfStruct, trace) -> frozenset:
     return x
 
 
-_address_cache: dict = {}
-
-
 def encode_rccs(t: RTerm, strict: bool = True) -> Address:
     """Address of a coherent reversible term.
 
     With ``strict`` the origin must be collapsed and free of autoconflict
     and autoconcurrency, the conditions under which addresses are unique.
     """
-    t = normalize(t)
-    key = (state_key(t), strict)
-    if key in _address_cache:
-        return _address_cache[key]
     states, labels = trace_to_origin(t)
     # normalize the origin: undoing a step restores the fired branch
     # leftmost and re-seats hoisted restrictions, so congruent states would
@@ -116,9 +109,7 @@ def encode_rccs(t: RTerm, strict: bool = True) -> Address:
                 f"{clashes[0].label}: {unparse(origin_p)}")
     struct = encode_ccs(origin_p)
     x = address(struct, list(zip(labels, states[1:])))
-    addr = Address(struct, origin_p, x)
-    _address_cache[key] = addr
-    return addr
+    return Address(struct, origin_p, x)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,10 @@ def refold(t: RTerm) -> RTerm:
 
 # ---------------------------------------------------------------------------
 # Canonical keys.  Sum branches are sorted, restriction binders are indexed
-# by traversal order and transition ids are renamed by first occurrence, so
-# keys identify terms up to those inessential presentation choices.
+# by their nesting depth (de Bruijn levels, so a subterm's key does not
+# depend on its siblings) and transition ids are renamed by first
+# occurrence, so keys identify terms up to those inessential presentation
+# choices.
 # Restriction placement is normalized by sinking binders as deep as they go:
 # undoing a step can re-seat a binder under the restored prefix, so keys
 # must not depend on where congruent placements put it.
@@ -214,18 +216,18 @@ def _action_key(a: Action, env: dict):
     return (a.kind, chan)
 
 
-def _process_key(p: Process, env: dict, counter: list, canon_par: bool):
+def _process_key(p: Process, env: dict, depth: int, canon_par: bool):
     if isinstance(p, Nil):
         return ("nil",)
     if isinstance(p, Prefix):
         return ("pre", _action_key(p.action, env),
-                _process_key(p.body, env, counter, canon_par))
+                _process_key(p.body, env, depth, canon_par))
     if isinstance(p, Sum):
-        keys = [_process_key(b, env, counter, canon_par) for b in summands(p)]
+        keys = [_process_key(b, env, depth, canon_par) for b in summands(p)]
         return ("sum", tuple(sorted(keys, key=repr)))
     if isinstance(p, Par):
-        left = _process_key(p.left, env, counter, canon_par)
-        right = _process_key(p.right, env, counter, canon_par)
+        left = _process_key(p.left, env, depth, canon_par)
+        right = _process_key(p.right, env, depth, canon_par)
         if canon_par:
             parts = []
             for k in (left, right):
@@ -237,14 +239,12 @@ def _process_key(p: Process, env: dict, counter: list, canon_par: bool):
             return ("par", tuple(sorted(parts, key=repr)))
         return ("par", (left, right))
     if isinstance(p, Restrict):
-        inner = dict(env)
-        inner[p.name] = counter[0]
-        counter[0] += 1
-        return ("res", _process_key(p.body, inner, counter, canon_par))
+        return ("res", _process_key(p.body, {**env, p.name: depth}, depth + 1,
+                                    canon_par))
     raise TypeError(f"not a process: {p!r}")
 
 
-def _term_key(t: RTerm, env: dict, counter: list, id_map: dict):
+def _term_key(t: RTerm, env: dict, depth: int, id_map: dict):
     if isinstance(t, Monitored):
         mem = []
         for e in t.memory:
@@ -254,21 +254,18 @@ def _term_key(t: RTerm, env: dict, counter: list, id_map: dict):
                 if e.ident not in id_map:
                     id_map[e.ident] = len(id_map)
                 mem.append(("past", id_map[e.ident], _action_key(e.action, env),
-                            _process_key(e.rest, env, counter, False)))
-        return ("mon", tuple(mem), _process_key(t.process, env, counter, False))
+                            _process_key(e.rest, env, depth, False)))
+        return ("mon", tuple(mem), _process_key(t.process, env, depth, False))
     if isinstance(t, RPar):
-        return ("rpar", _term_key(t.left, env, counter, id_map),
-                _term_key(t.right, env, counter, id_map))
-    inner = dict(env)
-    inner[t.name] = counter[0]
-    counter[0] += 1
-    return ("rres", _term_key(t.body, inner, counter, id_map))
+        return ("rpar", _term_key(t.left, env, depth, id_map),
+                _term_key(t.right, env, depth, id_map))
+    return ("rres", _term_key(t.body, {**env, t.name: depth}, depth + 1, id_map))
 
 
 def state_key(t: RTerm):
     """Canonical key of a reversible term, stable under renaming of ids and
     restricted names, reordering of sum branches and restriction placement."""
-    return _term_key(_placement(normalize(t)), {}, [0], {})
+    return _term_key(_placement(normalize(t)), {}, 0, {})
 
 
 def _sorted_process(p: Process) -> Process:
@@ -278,7 +275,7 @@ def _sorted_process(p: Process) -> Process:
         return Prefix(p.action, _sorted_process(p.body))
     if isinstance(p, Sum):
         branches = [Prefix(b.action, _sorted_process(b.body)) for b in summands(p)]
-        return sum_of(sorted(branches, key=lambda b: repr(_process_key(b, {}, [0], False))))
+        return sum_of(sorted(branches, key=lambda b: repr(_process_key(b, {}, 0, False))))
     if isinstance(p, Par):
         return Par(_sorted_process(p.left), _sorted_process(p.right))
     return Restrict(p.name, _sorted_process(p.body))
@@ -311,7 +308,7 @@ def congruence_normal_form(t: RTerm) -> RTerm:
 def ccs_state_key(p: Process):
     """Canonical key of a plain process, additionally flattening parallel
     composition into a sorted multiset and dropping inert components."""
-    return _process_key(push_restrictions(p), {}, [0], True)
+    return _process_key(push_restrictions(p), {}, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,39 +410,23 @@ def _is_lift_form(t: RTerm) -> bool:
     return state_key(t) == state_key(lift(erase(t)))
 
 
-_coherence_cache: dict = {}
-
-
 def is_coherent(t: RTerm) -> bool:
     """A term is coherent when its whole past can be undone: every maximal
     backward path ends in the lift of a plain process."""
     t = normalize(t)
-    key = state_key(t)
-    if key in _coherence_cache:
-        return _coherence_cache[key]
-    seen = {key}
+    seen = {state_key(t)}
     frontier = [t]
-    pending = [key]
-    ok = True
     while frontier:
         cur = frontier.pop()
         moves = _backward_moves(normalize(cur))
-        if not moves:
-            if not _is_lift_form(cur):
-                ok = False
-                break
-            continue
+        if not moves and not _is_lift_form(cur):
+            return False
         for _i, _a, nxt in moves:
             k = state_key(nxt)
             if k not in seen:
                 seen.add(k)
-                pending.append(k)
                 frontier.append(nxt)
-    if ok:
-        for k in pending:
-            _coherence_cache[k] = True
-    _coherence_cache[key] = ok
-    return ok
+    return True
 
 
 def trace_to_origin(t: RTerm) -> tuple[list[RTerm], list[TransitionLabel]]:
@@ -513,36 +494,31 @@ class StateGraph(NamedTuple):
 def reachable_states(t: RTerm, max_states: Optional[int] = None) -> StateGraph:
     """All states reachable by forward and backward moves, keyed canonically.
 
-    Edges are recorded in the forward direction only; every edge can also be
-    traversed backward.
+    By the loop lemma these are exactly the states the origin reaches by
+    forward moves, so only those are explored.  Edges are recorded in the
+    forward direction only; every edge can also be traversed backward.
     """
     t = normalize(t)
-    if not is_coherent(t):
-        raise IncoherentTerm(str(t))
-    init = state_key(t)
-    nodes = {init: t}
+    start = trace_to_origin(t)[0][0]
+    nodes = {state_key(start): start}
     edges = []
     edge_seen = set()
-    frontier = [t]
+    frontier = list(nodes.items())
     while frontier:
-        cur = frontier.pop()
-        ck = state_key(cur)
+        ck, cur = frontier.pop()
         for lbl, nxt in forward_steps(cur, check=False):
             nk = state_key(nxt)
             if nk not in nodes:
                 if max_states is not None and len(nodes) >= max_states:
                     raise ValueError("state bound exceeded")
                 nodes[nk] = nxt
-                frontier.append(nxt)
+                frontier.append((nk, nxt))
             ek = (ck, (lbl.action.kind, lbl.action.channel), nk)
             if ek not in edge_seen:
                 edge_seen.add(ek)
                 edges.append((ck, lbl, nk))
-        for _lbl, nxt in backward_steps(cur, check=False):
-            nk = state_key(nxt)
-            if nk not in nodes:
-                nodes[nk] = nxt
-                frontier.append(nxt)
+    init = state_key(t)
+    nodes[init] = t
     return StateGraph(nodes, edges, init)
 
 

@@ -524,10 +524,9 @@ def detect_auto_conflict_or_concurrency(t: CcsTerm) -> list[LabelClash]:
     violations = []
     for x in sorted(struct.configs, key=lambda c: (len(c), sorted(map(repr, c)))):
         by_label: dict[Action, list] = {}
-        for e in struct.events:
-            if e not in x and (x | {e}) in struct.configs:
-                by_label.setdefault(struct.label(e), []).append(e)
+        for e in struct.extensions(x):
+            by_label.setdefault(struct.label(e), []).append(e)
         for label, events in sorted(by_label.items(), key=lambda kv: str(kv[0])):
             if len(events) > 1:
-                violations.append(LabelClash(x, label, tuple(sorted(events, key=repr))))
+                violations.append(LabelClash(x, label, tuple(events)))
     return violations

@@ -167,6 +167,14 @@ class TestDiscriminate:
                                "a.b.0+b.a.0", "--contexts", str(f))
         assert code == 1 and "context:" in out and "d.0" in out
 
+    def test_contexts_file_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "contexts.txt"
+        f.write_text("[·] |\n")
+        code, out, err = run_cli(capsys, "discriminate", "a.0|b.0",
+                                 "a.b.0+b.a.0", "--contexts", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --contexts line 1: unexpected token")
+
 
 @pytest.mark.parametrize("argv", [
     ("check", "(a)a.'a.0", "'a.b.0 | a.c.0"),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from corpus import enumerated_terms
 from revccs.syntax import NIL, Prefix, inp, out, parse, unparse
 from revccs.rccs import (FORK, IncoherentTerm, Monitored, Past, RPar,
                          RRestrict, backward_steps, barb, barbs,
@@ -221,6 +222,34 @@ class TestStateGraph:
     def test_dot(self):
         dot = reachable_states(lift(parse("a.0"))).to_dot()
         assert dot.startswith("digraph") and "1:a" in dot
+
+    def test_branch_with_restriction_is_one_state(self):
+        g = reachable_states(lift(parse("'c.(b)b.0 + a.(a)a.0")))
+        assert len(g.nodes) == 3
+
+    @pytest.mark.parametrize("p", enumerated_terms(), ids=unparse)
+    def test_same_graph_from_inside(self, p):
+        # loop lemma: every state of the graph reaches the same states
+        def shape(g):
+            return set(g.nodes), {(s, l.action, d) for s, l, d in g.edges}
+
+        whole = reachable_states(lift(p))
+        for _, t in forward_steps(lift(p)):
+            g = reachable_states(t)
+            assert g.initial == state_key(t) and g.nodes[g.initial] == t
+            assert shape(g) == shape(whole)
+
+
+class TestKeys:
+    SWAPPED = ("'c.(b)b.0 + a.(a)a.0", "a.(a)a.0 + 'c.(b)b.0")
+
+    def test_state_key_ignores_branch_order(self):
+        left, right = (lift(parse(text)) for text in self.SWAPPED)
+        assert state_key(left) == state_key(right)
+
+    def test_ccs_state_key_ignores_branch_order(self):
+        left, right = (parse(text) for text in self.SWAPPED)
+        assert ccs_state_key(left) == ccs_state_key(right)
 
 
 class TestCcsSteps:
