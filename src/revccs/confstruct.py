@@ -167,12 +167,12 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
         out.append(("empty-configuration", None))
     for x in configs:
         # finiteness: a finite z ∈ C with e ∈ z ⊆ x; x itself witnesses it
-        # for finite families, so only coincidence-freeness can fail here.
-        for e1 in x:
-            for e2 in x:
-                if repr(e1) < repr(e2):
-                    if not any(z <= x and ((e1 in z) != (e2 in z)) for z in configs):
-                        out.append(("coincidence-freeness", (x, e1, e2)))
+        # for finite families, so only coincidence-freeness can fail here:
+        # e1 and e2 coincide iff each lies below the other
+        order = causal_order(c, x)
+        out.extend(("coincidence-freeness", (x, e1, e2)) for e1 in x for e2 in x
+                   if (e1, e2) in order and (e2, e1) in order
+                   and repr(e1) < repr(e2))
     # every upper bound lies below a configuration with no extension (a
     # maximal one in particular); bit i of above[x] marks the i-th of those
     # that contains x, so x and y are bounded iff above[x] & above[y]

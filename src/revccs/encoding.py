@@ -189,55 +189,48 @@ def check_operational_correspondence(t: RTerm,
     events and backward steps match retraction events, with equal labels."""
     report = CorrespondenceReport()
     t = normalize(t)
-    seen = {state_key(t)}
-    frontier = [t]
+    addresses: dict = {}    # state key -> address, one replay per state
+
+    def address_of(key, term) -> Address:
+        if key not in addresses:
+            addresses[key] = encode_rccs(term)
+        return addresses[key]
+
+    frontier = [(state_key(t), t)]
+    seen = {frontier[0][0]}
     while frontier:
-        cur = frontier.pop()
+        key, cur = frontier.pop()
         report.states_checked += 1
         if max_states is not None and report.states_checked > max_states:
             report.fail("state bound exceeded")
             return report
-        addr = encode_rccs(cur)
-        exts = {e: addr.struct.label(e) for e in addr.struct.extensions(addr.config)}
-        rets = {e: addr.struct.label(e) for e in addr.struct.retractions(addr.config)}
-        fwd = forward_steps(cur, check=False)
-        bwd = backward_steps(cur, check=False)
-        used = set()
-        for lbl, nxt in fwd:
-            naddr = encode_rccs(nxt)
-            delta = naddr.config - addr.config
-            if (len(delta) != 1 or not addr.config <= naddr.config
-                    or next(iter(delta)) not in exts):
-                report.fail(f"forward step {lbl} from {cur} has no matching event")
-                continue
-            e = next(iter(delta))
-            used.add(e)
-            if exts[e] != lbl.action:
-                report.fail(f"forward step {lbl} from {cur} hit label {exts[e]}")
-            k = state_key(nxt)
-            if k not in seen:
-                seen.add(k)
-                frontier.append(nxt)
-        if set(exts) - used:
-            report.fail(f"unmatched extension events at {cur}: "
-                        f"{sorted(map(repr, set(exts) - used))}")
-        usedb = set()
-        for lbl, nxt in bwd:
-            naddr = encode_rccs(nxt)
-            delta = addr.config - naddr.config
-            if (len(delta) != 1 or not naddr.config <= addr.config
-                    or next(iter(delta)) not in rets):
-                report.fail(f"backward step {lbl} from {cur} has no matching event")
-                continue
-            e = next(iter(delta))
-            usedb.add(e)
-            if rets[e] != lbl.action:
-                report.fail(f"backward step {lbl} from {cur} hit label {rets[e]}")
-            k = state_key(nxt)
-            if k not in seen:
-                seen.add(k)
-                frontier.append(nxt)
-        if set(rets) - usedb:
-            report.fail(f"unmatched retraction events at {cur}: "
-                        f"{sorted(map(repr, set(rets) - usedb))}")
+        addr = address_of(key, cur)
+        struct, x = addr.struct, addr.config
+        for word, steps, noun, events in (
+                ("forward", forward_steps(cur, check=False), "extension",
+                 struct.extensions(x)),
+                ("backward", backward_steps(cur, check=False), "retraction",
+                 struct.retractions(x))):
+            used = set()
+            for lbl, nxt in steps:
+                k = state_key(nxt)
+                # extensions lie outside x and retractions inside, so one
+                # event of the right kind in the symmetric difference is a
+                # step of the right direction
+                delta = address_of(k, nxt).config ^ x
+                e = next(iter(delta), None)
+                if len(delta) != 1 or e not in events:
+                    report.fail(f"{word} step {lbl} from {cur} has no "
+                                f"matching event")
+                    continue
+                used.add(e)
+                if struct.label(e) != lbl.action:
+                    report.fail(f"{word} step {lbl} from {cur} hit label "
+                                f"{struct.label(e)}")
+                if k not in seen:
+                    seen.add(k)
+                    frontier.append((k, nxt))
+            if set(events) - used:
+                report.fail(f"unmatched {noun} events at {cur}: "
+                            f"{sorted(map(repr, set(events) - used))}")
     return report

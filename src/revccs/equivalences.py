@@ -1,16 +1,19 @@
 """Behavioural equivalences over configuration structures and terms.
 
 Three deciders live here: hereditary history-preserving bisimulation on
-structures (a pruning fixpoint over triples, cross-checked by an explicit
-game-graph oracle), back-and-forth barbed bisimulation (on structures and on
-reversible terms) and plain forward bisimulation on erased processes.  When
-the history-preserving game fails, a discriminating context is synthesized
-from the losing configuration and verified in the barbed game.
+structures (triples grown from the empty triple, then layered passes by size
+that give both the maximal relation and the strata of the diagnosis,
+cross-checked by an explicit game-graph oracle), back-and-forth barbed
+bisimulation (on structures and on reversible terms) and plain forward
+bisimulation on erased processes.  When the history-preserving game fails, a
+discriminating context is synthesized from the losing configuration and
+verified in the barbed game.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,65 +51,51 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Order-preserving label bijections between configurations
-
-def _order_maps(c1: ConfStruct, x1: frozenset, c2: ConfStruct, x2: frozenset
-                ) -> list[dict]:
-    """Label-preserving bijections from x1 to x2 that preserve the causal
-    order."""
-    o1, o2 = cs.causal_order(c1, x1), cs.causal_order(c2, x2)
-    events1 = sorted(x1, key=repr)
-    out: list[dict] = []
-    mapping: dict = {}
-    used: set = set()
-
-    def compatible(e1, e2) -> bool:
-        if c1.label(e1) != c2.label(e2):
-            return False
-        return all(((d1, e1) not in o1 or (d2, e2) in o2)
-                   and ((e1, d1) not in o1 or (e2, d2) in o2)
-                   for d1, d2 in mapping.items())
-
-    def rec(i: int):
-        if i == len(events1):
-            out.append(dict(mapping))
-            return
-        e1 = events1[i]
-        for e2 in x2:
-            if e2 in used or not compatible(e1, e2):
-                continue
-            mapping[e1] = e2
-            used.add(e2)
-            rec(i + 1)
-            del mapping[e1]
-            used.discard(e2)
-
-    rec(0)
-    return out
-
+# Triples (x1, x2, f): f a label- and order-preserving bijection x1 -> x2
 
 def _all_triples(c1: ConfStruct, c2: ConfStruct) -> set:
-    """Every (x1, x2, f) with f an order-preserving label bijection; only
-    configurations with the same multiset of labels are compared."""
-    def bag(c, x):
-        return frozenset(Counter(c.label(e) for e in x).items())
+    """Every order-preserving triple, grown from the empty triple by matched
+    extensions: e1 of x1 pairs with e2 of x2 when their labels agree and f
+    maps every cause of e1 below e2.  That suffices for f to stay
+    order-preserving: the order of x1 | {e1} restricted to x1 is that of x1,
+    and e1 lies below no event of x1.
 
-    right = defaultdict(list)
-    for x2 in c2.configs:
-        right[bag(c2, x2)].append(x2)
-    return {(x1, x2, frozenset(f.items()))
-            for x1 in c1.configs for x2 in right.get(bag(c1, x1), ())
-            for f in _order_maps(c1, x1, c2, x2)}
+    Nothing is missed when both structures are stable and finitely complete.
+    Pull back a covering chain of x2 along f: each prefix is down-closed in
+    x1, hence a configuration whose causal order is that of x1 restricted to
+    it, so the chain's pull-back grows the triple one matched pair at a time.
+    """
+    # triples share the structures' own configurations, not fresh copies
+    own1, own2 = ({x: x for x in c.configs} for c in (c1, c2))
+    triples = {_EMPTY_TRIPLE}
+    frontier = [_EMPTY_TRIPLE]
+    while frontier:
+        x1, x2, fs = frontier.pop()
+        f = dict(fs)
+        for e1 in c1.extensions(x1):
+            y1 = own1[x1 | {e1}]
+            causes = [f[d] for d, e in cs.causal_order(c1, y1)
+                      if e == e1 and d != e1]
+            for e2 in c2.extensions(x2):
+                if c1.label(e1) != c2.label(e2):
+                    continue
+                y2 = own2[x2 | {e2}]
+                t = (y1, y2, fs | {(e1, e2)})
+                if t not in triples and all(
+                        (d, e2) in cs.causal_order(c2, y2) for d in causes):
+                    triples.add(t)
+                    frontier.append(t)
+    return triples
 
 
-def _isomorphisms(c1: ConfStruct, c2: ConfStruct, triples) -> set:
-    """The triples whose bijection also reflects the causal order.
+def _isomorphisms(c1: ConfStruct, c2: ConfStruct, triples):
+    """The triples whose bijection also reflects the causal order, lazily.
 
     A preserving bijection maps the left order's pairs one-to-one into the
     right order's, so it reflects the order iff the two have equal size.
     """
-    return {t for t in triples if len(cs.causal_order(c1, t[0]))
-            == len(cs.causal_order(c2, t[1]))}
+    return (t for t in triples if len(cs.causal_order(c1, t[0]))
+            == len(cs.causal_order(c2, t[1])))
 
 
 def _forth_ok(triple, c1, c2, reference) -> Optional[str]:
@@ -135,31 +124,59 @@ def _back_ok(triple, c1, c2, reference) -> Optional[str]:
     return None
 
 
+def _by_size(triples, top: int) -> list:
+    """``triples`` as layers 0..top, layer i holding those of size i."""
+    layers = [set() for _ in range(top + 1)]
+    for t in triples:
+        layers[len(t[0])].add(t)
+    return layers
+
+
+def _strata(c1: ConfStruct, c2: ConfStruct, layers: list) -> tuple:
+    """One layered pass of the game over ``layers`` (triples by size).
+
+    Forward layers run from the top down: each keeps the triples whose
+    forward challenges are answered in the layer above, and the top layer is
+    kept whole.  Backward layers run from the bottom up: each keeps the
+    triples of its forward layer whose retractions are answered in the
+    backward layer below.  ``layers`` is filtered in place into the forward
+    layers, and a backward layer that loses nothing is its forward layer, so
+    a pass that removes nothing copies no layer; returns (forth, back).
+    """
+    forth = layers
+    for i in range(len(forth) - 2, -1, -1):
+        forth[i] -= {t for t in forth[i] if _forth_ok(t, c1, c2, forth[i + 1])}
+    back = forth[:1]
+    for layer in forth[1:]:
+        failed = {t for t in layer if _back_ok(t, c1, c2, back[-1])}
+        back.append(layer - failed if failed else layer)
+    return forth, back
+
+
 # ---------------------------------------------------------------------------
 # Hereditary history-preserving bisimulation: greatest fixpoint over triples
-
-_hhpb_cache: dict = {}
-
 
 def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
     """The maximal back-and-forth history-preserving bisimulation, as the
     set of surviving triples (x1, x2, frozen bijection)."""
-    return _hhpb_gfp(c1, c2, _all_triples(c1, c2))
+    return set().union(*_hhpb_gfp(c1, c2, _all_triples(c1, c2)))
 
 
-def _hhpb_gfp(c1: ConfStruct, c2: ConfStruct, triples) -> set:
-    relation = _isomorphisms(c1, c2, triples)
-    changed = True
-    while changed:
-        changed = False
-        for triple in list(relation):
-            if (_forth_ok(triple, c1, c2, relation)
-                    or _back_ok(triple, c1, c2, relation)):
-                relation.discard(triple)
-                changed = True
-    return relation
+def _hhpb_gfp(c1: ConfStruct, c2: ConfStruct, triples) -> list:
+    """The maximal relation by size, from layered passes over the isomorphism
+    triples until the backward half removes nothing: the forward and
+    backward layers then agree, so their union answers every challenge, and
+    no pass removes a triple of a bisimulation.  The empty layer above the
+    largest removes the top triples that still have an extension."""
+    layers = _by_size(_isomorphisms(c1, c2, triples), c1.max_card() + 1)
+    while True:
+        forth, back = _strata(c1, c2, layers)
+        if sum(map(len, forth)) == sum(map(len, back)):
+            return back
+        layers = back
 
 
+@functools.lru_cache(maxsize=1024)
 def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     """Decide the history-preserving game with backward moves.
 
@@ -168,22 +185,15 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     image of the retracted event.  On failure the cardinality strata locate
     the shallowest excluded configuration.
     """
-    key = (c1, c2)
-    if key in _hhpb_cache:
-        return _hhpb_cache[key]
     triples = _all_triples(c1, c2)
-    relation = _hhpb_gfp(c1, c2, triples)
-    if _EMPTY_TRIPLE in relation:
-        verdict = EquivalenceVerdict(True)
-    else:
-        stratum, witness = _diagnose(c1, _stratify(c1, c2, triples))
-        # the empty triple has no retractions: had all its forward
-        # challenges been answered, the relation would not be maximal
-        verdict = EquivalenceVerdict(
-            False, stratum,
-            witness or _forth_ok(_EMPTY_TRIPLE, c1, c2, relation))
-    _hhpb_cache[key] = verdict
-    return verdict
+    layers = _hhpb_gfp(c1, c2, triples)
+    if _EMPTY_TRIPLE in layers[0]:
+        return EquivalenceVerdict(True)
+    stratum, witness = _diagnose(c1, _stratify(c1, c2, triples))
+    # the empty triple has no retractions: had all its forward challenges
+    # been answered, the relation would not be maximal
+    return EquivalenceVerdict(
+        False, stratum, witness or _forth_ok(_EMPTY_TRIPLE, c1, c2, layers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +207,8 @@ class StratifiedRelation:
     back: list = field(default_factory=list)
 
     def covered(self, i: int, x1: frozenset, backward: bool) -> bool:
-        layer = (self.forth[i] & self.back[i]) if backward else self.forth[i]
+        # each backward layer lies inside its forward layer
+        layer = self.back[i] if backward else self.forth[i]
         return any(t[0] == x1 for t in layer)
 
 
@@ -208,27 +219,14 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     between largest configurations; layer i keeps the triples whose forward
     challenges are answered inside layer i+1.  Backward layer 0 is forward
     layer 0; backward layer i keeps the triples of forward layer i whose
-    retractions land in the meet of the two layers below.
+    retractions land in backward layer i-1.
     """
     return _stratify(c1, c2, _all_triples(c1, c2))
 
 
 def _stratify(c1: ConfStruct, c2: ConfStruct, triples) -> StratifiedRelation:
     k = c1.max_card()
-    by_card: dict[int, set] = defaultdict(set)
-    for t in triples:
-        by_card[len(t[0])].add(t)
-    forth = [set() for _ in range(k + 1)]
-    forth[k] = by_card[k]
-    for i in range(k - 1, -1, -1):
-        forth[i] = {t for t in by_card[i]
-                    if _forth_ok(t, c1, c2, forth[i + 1]) is None}
-    back = [set() for _ in range(k + 1)]
-    back[0] = forth[0]
-    for i in range(1, k + 1):
-        ref = forth[i - 1] & back[i - 1]
-        back[i] = {t for t in forth[i] if _back_ok(t, c1, c2, ref) is None}
-    return StratifiedRelation(k, forth, back)
+    return StratifiedRelation(k, *_strata(c1, c2, _by_size(triples, k)))
 
 
 def _config_label_names(c: ConfStruct, x: frozenset) -> str:
@@ -265,7 +263,7 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
     if len(c1.events) + len(c2.events) > bound:
         raise BoundExceeded(
             f"{len(c1.events)} + {len(c2.events)} events exceed bound {bound}")
-    triples = _isomorphisms(c1, c2, _all_triples(c1, c2))
+    triples = set(_isomorphisms(c1, c2, _all_triples(c1, c2)))
 
     def challenges(t):
         x1, x2, fs = t

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import corpus_pairs
 from revccs.confstruct import causal_order
-from revccs.syntax import instantiate, parse, parse_context, unparse
+from revccs.syntax import collapse, instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          reachable_states)
@@ -67,6 +67,13 @@ class TestHhpb:
     def test_relation_contents(self):
         rel = hhpb_relation(C1, C1)
         assert (frozenset(), frozenset(), frozenset()) in rel
+
+    def test_unanswered_extension_at_the_top(self):
+        # a.b.0 extends the largest configuration of a.0 by b
+        short, long = encode_ccs(parse("a.0")), encode_ccs(parse("a.b.0"))
+        assert not hhpb(short, long).related
+        assert (frozenset(), frozenset(), frozenset()) not in hhpb_relation(
+            short, long)
 
     def test_json(self):
         data = hhpb(C1, C2).to_json()
@@ -251,11 +258,58 @@ def _reference_triples(c1, c2):
     return preserving, reflecting
 
 
+# sync-2 against sync-2' (its last pair expanded) and three parallel silent
+# steps kept apart: causes to map, and many bijections between equal labels
+SYNC_2 = parse("a.0 | 'a.0 | b.0 | 'b.0")
+SYNC_2_EXPANDED = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
+TAUS_3 = collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)
+
+
 def test_triples_match_reference_on_corpus():
-    for p1, p2 in corpus_pairs():
+    for p1, p2 in corpus_pairs() + [(SYNC_2, SYNC_2_EXPANDED),
+                                    (TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
         triples = _all_triples(s1, s2)
         assert triples == preserving, (unparse(p1), unparse(p2))
-        assert _isomorphisms(s1, s2, triples) == reflecting, (unparse(p1),
-                                                              unparse(p2))
+        assert set(_isomorphisms(s1, s2, triples)) == reflecting, (
+            unparse(p1), unparse(p2))
+
+
+def _swept_relation(c1, c2, reflecting):
+    """Drop the triples with an unanswered extension or retraction on either
+    side until none is dropped."""
+    relation = set(reflecting)
+
+    def moves(c, x):
+        return ([e for e in c.events - x if x | {e} in c.configs],
+                [e for e in x if x - {e} in c.configs])
+
+    def answered(triple):
+        x1, x2, fs = triple
+        (ext1, ret1), (ext2, ret2) = moves(c1, x1), moves(c2, x2)
+        pairs = {(e1, e2): (x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in relation
+                 for e1 in ext1 for e2 in ext2}
+        return (all(any(pairs[e1, e2] for e2 in ext2) for e1 in ext1)
+                and all(any(pairs[e1, e2] for e1 in ext1) for e2 in ext2)
+                and all((x1 - {a}, x2 - {b}, fs - {(a, b)}) in relation
+                        for a, b in fs if a in ret1 or b in ret2))
+
+    changed = True
+    while changed:
+        changed = False
+        for triple in list(relation):
+            if not answered(triple):
+                relation.discard(triple)
+                changed = True
+    return relation
+
+
+def test_relation_matches_sweep_on_corpus():
+    empty = (frozenset(), frozenset(), frozenset())
+    for p1, p2 in corpus_pairs():
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        swept = _swept_relation(s1, s2, _reference_triples(s1, s2)[1])
+        assert hhpb_relation(s1, s2) == swept, (unparse(p1), unparse(p2))
+        assert hhpb(s1, s2).related == (empty in swept), (unparse(p1),
+                                                          unparse(p2))
