@@ -20,9 +20,9 @@ from .syntax import collapse, parse, parse_context, unparse
 from .rccs import (backward_steps, barbs, erase, forward_steps, lift,
                    normalize, origin, reachable_states)
 from .encoding import encode_ccs
-from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
-                           barbed_bf_bisim_terms, forward_strong_bisim, hhpb,
-                           synthesize_context)
+from .equivalences import (EquivalenceVerdict, _barbed_game, _config_graph,
+                           barbed_bf_bisim_structs, forward_bisim_structs,
+                           hhpb, synthesize_context)
 
 
 def _add_common(sub):
@@ -147,10 +147,11 @@ def cmd_check(args) -> int:
     s1, s2 = _encode_guarded(p1, args), _encode_guarded(p2, args)
     if args.equiv == "hhpb":
         verdict = hhpb(s1, s2)
-    elif args.equiv == "barbed":
-        verdict = barbed_bf_bisim_terms(lift(p1), lift(p2))
+    elif args.equiv == "barbed":  # witnesses name the lifted, normalized starts
+        verdict = _barbed_game(_config_graph(s1), _config_graph(s2),
+                               (normalize(lift(p1)), normalize(lift(p2))))
     else:
-        verdict = EquivalenceVerdict(forward_strong_bisim(p1, p2))
+        verdict = EquivalenceVerdict(forward_bisim_structs(s1, s2))
     return _emit_verdict(verdict, args)
 
 
@@ -174,8 +175,8 @@ def cmd_discriminate(args) -> int:
                 except syntax.ParseError as exc:
                     raise ValueError(f"--contexts line {number}: {exc}") from exc
                 related = barbed_bf_bisim_structs(
-                    encode_ccs(syntax.instantiate(cand, p1)),
-                    encode_ccs(syntax.instantiate(cand, p2))).related
+                    _encode_guarded(syntax.instantiate(cand, p1), args),
+                    _encode_guarded(syntax.instantiate(cand, p2), args)).related
                 if not related:
                     ctx = cand
                     break

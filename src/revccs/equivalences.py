@@ -4,10 +4,10 @@ Three deciders live here: hereditary history-preserving bisimulation on
 structures (triples grown from the empty triple, then layered passes by size
 that give both the maximal relation and the strata of the diagnosis,
 cross-checked by an explicit game-graph oracle), back-and-forth barbed
-bisimulation (on structures and on reversible terms) and plain forward
-bisimulation on erased processes.  When the history-preserving game fails, a
-discriminating context is synthesized from the losing configuration and
-verified in the barbed game.
+bisimulation and plain forward bisimulation, both played on configuration
+graphs; the barbed game on reversible terms is kept as the operational
+reference.  When the history-preserving game fails, a discriminating context
+is synthesized from the losing configuration and verified in the barbed game.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .confstruct import ConfStruct
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
                      all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
-from .rccs import (RTerm, StateGraph, ccs_state_key, ccs_steps, lift,
-                   reachable_states)
+from .rccs import RTerm, StateGraph, lift, reachable_states
+from .encoding import encode_ccs
 
 
 class BoundExceeded(RuntimeError):
@@ -41,13 +41,10 @@ class EquivalenceVerdict:
     context: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "related": self.related,
-            "failing_stratum": (self.failing_stratum[1]
-                                if self.failing_stratum else None),
-            "witness": self.witness,
-            "context": self.context,
-        }
+        direction, depth = self.failing_stratum or (None, None)
+        return {"related": self.related, "failing_stratum": depth,
+                "direction": direction, "witness": self.witness,
+                "context": self.context}
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +379,43 @@ def _barbed_game(side1, side2, starts=None) -> EquivalenceVerdict:
 
 
 def _config_graph(c: ConfStruct):
-    return (c.configs, [(x, c.label(e), x | {e})
+    """``c`` as a state graph starting at the empty configuration, one edge
+    per extension; targets are ``c``'s own configurations, not copies."""
+    own = {x: x for x in c.configs}
+    return (c.configs, [(x, c.label(e), own[x | {e}])
                         for x in c.configs for e in c.extensions(x)],
             frozenset())
 
 
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct
                             ) -> EquivalenceVerdict:
-    """Barb-preserving bisimulation matching silent moves both ways."""
+    """Barb-preserving bisimulation matching silent moves both ways.
+
+    By operational correspondence (criterion 6) a term's state graph is the
+    image of its denotation's configuration graph under the address map,
+    which preserves and reflects labelled moves both ways; so each
+    configuration is bisimilar to its state, and given the terms' starts
+    the game on the two configuration graphs answers as the term game does.
+    """
     return _barbed_game(_config_graph(c1), _config_graph(c2))
+
+
+def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
+    """Strong bisimilarity of the empty configurations, each extension a
+    move labelled by its event's label: by the correspondence argued at
+    ``barbed_bf_bisim_structs``, the forward game of the denoted processes."""
+    succ: dict = {}
+    for tag, (states, edges, _) in enumerate(map(_config_graph, (c1, c2))):
+        succ.update({(tag, x): [] for x in states})
+        for x, action, y in edges:
+            succ[tag, x].append((action, (tag, y)))
+    block = _coarsest_blocks(dict.fromkeys(succ, 0), succ)
+    return block[0, frozenset()] == block[1, frozenset()]
+
+
+def forward_strong_bisim(p1: Process, p2: Process) -> bool:
+    """Classical strong bisimilarity of the erased, forward-only semantics."""
+    return forward_bisim_structs(encode_ccs(p1), encode_ccs(p2))
 
 
 def _state_graph(g: StateGraph):
@@ -436,7 +461,6 @@ def synthesize_context(p1: Process, p2: Process,
     configuration it was built from.
     """
     taken = all_names(p1) | all_names(p2)
-    from .encoding import encode_ccs
 
     def discriminates(ctx: Context) -> bool:
         return not barbed_bf_bisim_structs(
@@ -476,7 +500,6 @@ def default_context_family(p1: Process, p2: Process) -> list[Context]:
     taken = all_names(p1) | all_names(p2)
     family: list[Context] = [HOLE]
     labels = set()
-    from .encoding import encode_ccs
     for struct in (encode_ccs(p1), encode_ccs(p2)):
         for e in struct.events:
             if not struct.label(e).is_tau:
@@ -515,7 +538,6 @@ def check_congruence_closure(p1: Process, p2: Process,
                              contexts: Optional[list[Context]] = None,
                              max_states: int = 5000) -> CongruenceReport:
     """Play both games under each context of the family."""
-    from .encoding import encode_ccs
     if contexts is None:
         contexts = default_context_family(p1, p2)
     report = CongruenceReport(hhpb(encode_ccs(p1), encode_ccs(p2)).related)
@@ -526,26 +548,3 @@ def check_congruence_closure(p1: Process, p2: Process,
                                        max_states=max_states).related
         report.entries.append((ctx, hh, barbed))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Forward-only bisimulation on plain processes
-
-def forward_strong_bisim(p1: Process, p2: Process) -> bool:
-    """Classical strong bisimilarity of the erased, forward-only semantics."""
-    succ: dict = {}
-    starts = []
-    for tag, p in enumerate((p1, p2)):
-        starts.append((tag, ccs_state_key(p)))
-        succ[starts[-1]] = []
-        frontier = [(starts[-1], p)]
-        while frontier:
-            node, cur = frontier.pop()
-            for a, nxt in ccs_steps(cur):
-                target = (tag, ccs_state_key(nxt))
-                if target not in succ:
-                    succ[target] = []
-                    frontier.append((target, nxt))
-                succ[node].append((a, target))
-    block = _coarsest_blocks(dict.fromkeys(succ, 0), succ)
-    return block[starts[0]] == block[starts[1]]

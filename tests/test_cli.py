@@ -130,12 +130,27 @@ class TestCheck:
         assert code == 1
         assert "witness: left silent move unanswered at {} |> tau.a.0\n" in out
 
+    def test_barbed_witness_names_normalized_start(self, capsys):
+        # the lifted right side prints as {} |> 'b.(a)0 | b.0; its normal form
+        # splits the memory over the parallel components
+        argv = ("check", "'b.'b.0 + b.0", "'b.(a)0 | b.0", "--equiv", "barbed")
+        witness = "right silent move unanswered at (<> |> 'b.(a)0) | (<> |> b.0)"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1 and out == f"not related\nwitness: {witness}\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1 and json.loads(out)["witness"] == witness
+
     def test_json_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "check", "a.0|b.0", "a.b.0+b.a.0",
                                "--format", "json")
         data = json.loads(out)
         assert code == 1
         assert data["related"] is False and data["failing_stratum"] == 2
+
+    def test_json_direction(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "a.0 | b.0", "a.b.0 + b.a.0",
+                               "--format", "json")
+        assert code == 1 and json.loads(out)["direction"] == "B"
 
     @pytest.mark.parametrize("equiv", ["hhpb", "barbed", "forward"])
     def test_max_events(self, capsys, equiv):
@@ -163,8 +178,10 @@ class TestDiscriminate:
         f = tmp_path / "contexts.txt"
         f.write_text("{'a.0 + c.0} | [·]\n"
                      "{'b.0 + d.0} | {{'a.0 + c.0} | [·]}\n")
+        # the second context denotes the right side with 12 events
         code, out, _ = run_cli(capsys, "discriminate", "a.0|b.0",
-                               "a.b.0+b.a.0", "--contexts", str(f))
+                               "a.b.0+b.a.0", "--max-events", "12",
+                               "--contexts", str(f))
         assert code == 1 and "context:" in out and "d.0" in out
 
     def test_contexts_file_parse_error(self, capsys, tmp_path):
@@ -174,6 +191,14 @@ class TestDiscriminate:
                                  "a.b.0+b.a.0", "--contexts", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error: --contexts line 1: unexpected token")
+
+    def test_contexts_file_max_events(self, capsys, tmp_path):
+        f = tmp_path / "contexts.txt"
+        f.write_text("{'a.0 + c.0} | {'b.0 + d.0} | {e.0 | f.0 | g.0} | [·]\n")
+        code, out, err = run_cli(capsys, "discriminate", "a.0|b.0",
+                                 "a.b.0+b.a.0", "--max-events", "4",
+                                 "--contexts", str(f))
+        assert code == 2 and out == "" and "--max-events" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,22 +1,24 @@
 """Equivalence deciders, stratification, synthesis, congruence closure."""
 
+import functools
 import itertools
 
 import pytest
 
-from corpus import corpus_pairs
+from corpus import corpus_pairs, random_terms
 from revccs.confstruct import causal_order
 from revccs.syntax import collapse, instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
-                         reachable_states)
+                         normalize, reachable_states)
 from revccs.equivalences import (BoundExceeded, hhpb,
                                  barbed_bf_bisim_structs,
                                  barbed_bf_bisim_terms, build_stratification,
                                  check_congruence_closure,
-                                 default_context_family, forward_strong_bisim,
-                                 hhpb_oracle, hhpb_relation,
-                                 synthesize_context, _all_triples,
+                                 default_context_family, forward_bisim_structs,
+                                 forward_strong_bisim, hhpb_oracle,
+                                 hhpb_relation, synthesize_context,
+                                 _all_triples, _barbed_game, _config_graph,
                                  _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
@@ -221,16 +223,25 @@ def _forward_side(p):
 
 
 def test_games_agree_on_corpus():
-    for p1, p2 in corpus_pairs():
+    # the structure games, as ``check`` plays them, against the term game
+    # and the pairwise references on the reachable term graphs
+    pairs = corpus_pairs() + list(itertools.combinations(
+        random_terms(40, seed=7), 2))
+    barbed_side = functools.cache(_barbed_side)
+    forward_side = functools.cache(_forward_side)
+    for p1, p2 in pairs:
         pair = (unparse(p1), unparse(p2))
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
-        barbed = barbed_bf_bisim_terms(lift(p1), lift(p2)).related
-        forward = forward_strong_bisim(p1, p2)
-        assert barbed_bf_bisim_structs(s1, s2).related == barbed, pair
-        assert not hhpb(s1, s2).related or (barbed and forward), pair
-        assert barbed == _gfp_related(_barbed_side(p1), _barbed_side(p2)), pair
-        assert forward == _gfp_related(_forward_side(p1),
-                                       _forward_side(p2)), pair
+        barbed = barbed_bf_bisim_terms(lift(p1), lift(p2))
+        starts = (normalize(lift(p1)), normalize(lift(p2)))
+        assert _barbed_game(_config_graph(s1), _config_graph(s2),
+                            starts) == barbed, pair
+        forward = forward_bisim_structs(s1, s2)
+        assert not hhpb(s1, s2).related or (barbed.related and forward), pair
+        assert barbed.related == _gfp_related(barbed_side(p1),
+                                              barbed_side(p2)), pair
+        assert forward == _gfp_related(forward_side(p1),
+                                       forward_side(p2)), pair
 
 
 # ---------------------------------------------------------------------------
