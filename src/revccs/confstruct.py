@@ -40,28 +40,132 @@ class Killed:
 KILLED = Killed()
 
 
+def bits(m: int) -> list:
+    """The positions of the set bits of ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+class ConfIndex:
+    """A structure with its events numbered and its configurations as ints.
+
+    Event ``events[i]`` is bit i (``bit`` maps back), in ``repr`` order, so
+    reading a mask from its lowest bit up visits events in the order
+    ``extensions`` lists them.  ``config`` maps each configuration's mask to
+    the structure's own configuration, in the family's iteration order, and
+    ``mask`` maps back; ``exts`` and ``rets`` hold each configuration's
+    extensions and retractions as ascending tuples of bits, and ``depths``
+    each event's least configuration size (None for an event in no
+    configuration).  Cause masks and order sizes are computed on first use.
+    """
+
+    __slots__ = ("events", "bit", "config", "mask", "exts", "rets", "depths",
+                 "max_card", "_causes", "_sizes")
+
+    def __init__(self, c: "ConfStruct"):
+        self.events = tuple(sorted(c.events, key=repr))
+        self.bit = {e: i for i, e in enumerate(self.events)}
+        self.config = {sum(1 << self.bit[e] for e in x): x for x in c.configs}
+        self.mask = {x: m for m, x in self.config.items()}
+        self.exts = {m: [] for m in self.config}
+        self.rets = {m: [] for m in self.config}
+        depths = [None] * len(self.events)
+        for m in self.config:
+            size = m.bit_count()
+            for i in bits(m):
+                if m ^ 1 << i in self.config:
+                    self.exts[m ^ 1 << i].append(i)
+                    self.rets[m].append(i)
+                if depths[i] is None or size < depths[i]:
+                    depths[i] = size
+        for table in (self.exts, self.rets):
+            for m, found in table.items():
+                table[m] = tuple(sorted(found))
+        self.depths = tuple(depths)
+        self.max_card = max((m.bit_count() for m in self.config), default=0)
+        self._causes: dict = {}
+        self._sizes: dict = {}
+
+    def mask_of(self, x: frozenset) -> int:
+        m = self.mask.get(x)
+        if m is None:
+            raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
+        return m
+
+    def decode(self, positions) -> tuple:
+        """The events at the given bit positions."""
+        return tuple(self.events[i] for i in positions)
+
+    def causes(self, y: int, e: int) -> int:
+        """The strict causes of event ``e`` in configuration ``y``, as a mask.
+
+        By definition d lies below e in y when every sub-configuration of y
+        holding e holds d.  On a stable structure that order restricts to
+        sub-configurations: if w ⊆ y holds e, and a sub-configuration z of y
+        holds e but not d, then so does z ∩ w, a configuration by stability
+        (y bounds both).  So for any j ≠ e with w = y \\ {j} a configuration,
+        e has the same causes in w as in y, and j is not among them.  With no
+        such j, y is the only sub-configuration holding e (a covering chain
+        from a smaller one would end by adding some j ≠ e), and every other
+        event of y is a cause.  This recurrence assumes stability;
+        ``validate`` keeps the definition, which catches unstable structures.
+        """
+        key = (y, e)
+        found = self._causes.get(key)
+        if found is None:
+            j = next((j for j in self.rets[y] if j != e), None)
+            if j is None:
+                found = y & ~(1 << e)
+            else:
+                found = self.causes(y ^ 1 << j, e)
+            self._causes[key] = found
+        return found
+
+    def order_size(self, y: int) -> int:
+        """The number of strict cause pairs in configuration ``y``."""
+        size = self._sizes.get(y)
+        if size is None:
+            size = self._sizes[y] = sum(self.causes(y, e).bit_count()
+                                        for e in bits(y))
+        return size
+
+
 class ConfStruct:
     """Immutable labelled configuration structure.
 
-    Data derived from the structure (extensions and causal order per
-    configuration) is computed on first use and kept in the structure.
+    Data derived from the structure (extensions, retractions, depths,
+    maximal size and causal order per configuration) comes from one
+    integer index, ``index``: a ``ConfIndex`` built on first use and kept
+    in the structure.  Events become bits and configurations masks; the
+    methods and functions taking frozensets decode at the edge.
     """
 
-    __slots__ = ("events", "configs", "_labels", "_hash", "_exts", "_orders")
+    __slots__ = ("events", "configs", "_labels", "_hash", "_index")
 
     def __init__(self, events: Iterable, configs: Iterable, labels: dict):
         object.__setattr__(self, "events", frozenset(events))
         object.__setattr__(self, "configs", frozenset(frozenset(x) for x in configs))
         object.__setattr__(self, "_labels", dict(labels))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_exts", {})
-        object.__setattr__(self, "_orders", {})
+        object.__setattr__(self, "_index", None)
         missing = self.events - set(self._labels)
         if missing:
             raise ValueError(f"unlabelled events: {missing!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("ConfStruct is immutable")
+
+    @property
+    def index(self) -> ConfIndex:
+        index = self._index
+        if index is None:
+            index = ConfIndex(self)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def label(self, e) -> Action:
         return self._labels[e]
@@ -87,22 +191,18 @@ class ConfStruct:
     def __repr__(self):
         return f"ConfStruct({len(self.events)} events, {len(self.configs)} configs)"
 
-    def max_card(self) -> int:
-        return max((len(x) for x in self.configs), default=0)
-
     def extensions(self, x: frozenset) -> tuple:
-        """Events e with x ∪ {e} a configuration, ordered by ``repr`` so
-        that everything iterating them runs the same way in every process."""
-        ext = self._exts.get(x)
-        if ext is None:
-            ext = self._exts[x] = tuple(sorted(
-                (e for e in self.events if e not in x and (x | {e}) in self.configs),
-                key=repr))
-        return ext
+        """Events e with x ∪ {e} a configuration, for a configuration x,
+        ordered by ``repr`` so that everything iterating them runs the same
+        way in every process."""
+        index = self.index
+        return index.decode(index.exts[index.mask_of(x)])
 
-    def retractions(self, x: frozenset):
-        """Events e in x with x \\ {e} a configuration."""
-        return [e for e in x if (x - {e}) in self.configs]
+    def retractions(self, x: frozenset) -> tuple:
+        """Events e in the configuration x with x \\ {e} a configuration,
+        ordered by ``repr``."""
+        index = self.index
+        return index.decode(index.rets[index.mask_of(x)])
 
 
 EMPTY = ConfStruct((), (frozenset(),), {})
@@ -162,31 +262,40 @@ class ProductResult(NamedTuple):
 def validate(c: ConfStruct) -> list[tuple[str, object]]:
     """Check the axioms; each violation names the axiom and a witness."""
     out: list[tuple[str, object]] = []
-    configs = c.configs
-    if configs and frozenset() not in configs:
+    if c.configs and frozenset() not in c.configs:
         out.append(("empty-configuration", None))
-    for x in configs:
+    index = c.index
+    bit = index.bit
+    for m, x in index.config.items():
         # finiteness: a finite z ∈ C with e ∈ z ⊆ x; x itself witnesses it
         # for finite families, so only coincidence-freeness can fail here:
-        # e1 and e2 coincide iff each lies below the other
-        order = causal_order(c, x)
-        out.extend(("coincidence-freeness", (x, e1, e2)) for e1 in x for e2 in x
-                   if (e1, e2) in order and (e2, e1) in order
-                   and repr(e1) < repr(e2))
+        # e1 and e2 coincide iff each lies below the other, that is iff every
+        # sub-configuration of x holds both or neither.  Bit k of held[i]
+        # marks the k-th sub-configuration holding event i: the order is the
+        # definitional one, since ConfIndex.causes assumes stability.
+        held = dict.fromkeys(bits(m), 0)
+        for k, z in enumerate(z for z in index.config if not z & ~m):
+            for i in bits(z):
+                held[i] |= 1 << k
+        if len(set(held.values())) < len(held):
+            out.extend(("coincidence-freeness", (x, e1, e2))
+                       for e1 in x for e2 in x
+                       if held[bit[e1]] == held[bit[e2]] and repr(e1) < repr(e2))
     # every upper bound lies below a configuration with no extension (a
     # maximal one in particular); bit i of above[x] marks the i-th of those
     # that contains x, so x and y are bounded iff above[x] & above[y]
-    tops = [z for z in configs if not c.extensions(z)]
-    above = {x: sum(1 << i for i, z in enumerate(tops) if x <= z) for x in configs}
-    config_list = sorted(configs, key=len)
+    tops = [z for z, ext in index.exts.items() if not ext]
+    above = {x: sum(1 << i for i, z in enumerate(tops) if not x & ~z)
+             for x in index.config}
+    config_list = sorted(index.config, key=int.bit_count)
     for i, x in enumerate(config_list):
         for y in config_list[i:]:
-            u = x | y
-            if u in configs:
-                if (x & y) not in configs:
-                    out.append(("stability", (x, y)))
+            if x | y in index.config:
+                if x & y not in index.config:
+                    out.append(("stability", (index.config[x], index.config[y])))
             elif above[x] & above[y]:
-                out.append(("finite-completeness", (x, y)))
+                out.append(("finite-completeness",
+                            (index.config[x], index.config[y])))
     return out
 
 
@@ -315,16 +424,10 @@ def residual(c: ConfStruct, x: frozenset) -> ConfStruct:
 
 def causal_order(c: ConfStruct, x: frozenset) -> frozenset:
     """The happens-before relation on ``x`` as a set of (cause, effect) pairs."""
-    x = frozenset(x)
-    order = c._orders.get(x)
-    if order is None:
-        if x not in c.configs:
-            raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
-        subs = [z for z in c.configs if z <= x]
-        order = c._orders[x] = frozenset(
-            (e1, e2) for e1 in x for e2 in x
-            if all(e1 in z for z in subs if e2 in z))
-    return order
+    index = c.index
+    y = index.mask_of(frozenset(x))
+    return frozenset((index.events[d], index.events[e]) for e in bits(y)
+                     for d in bits(index.causes(y, e) | 1 << e))
 
 
 def strictly_below(order: frozenset, e1, e2) -> bool:
@@ -346,7 +449,11 @@ def minimal_events(c: ConfStruct) -> frozenset:
 
 def depth(c: ConfStruct, e) -> int:
     """Smallest cardinality of a configuration containing ``e``."""
-    return min(len(x) for x in c.configs if e in x)
+    index = c.index
+    found = index.depths[index.bit[e]]
+    if found is None:
+        raise ValueError(f"{e!r} is in no configuration")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +569,8 @@ def canonical_event_ids(c: ConfStruct) -> dict:
 
     Dead events (in no configuration, as restriction can leave) come last.
     """
-    depths: dict = {}
-    for x in sorted(c.configs, key=len):
-        for e in x:
-            depths.setdefault(e, len(x))
-    order = sorted(c.events, key=lambda e: (depths.get(e, len(c.events) + 1),
+    index, dead = c.index, len(c.events) + 1
+    order = sorted(c.events, key=lambda e: (index.depths[index.bit[e]] or dead,
                                             str(c.label(e)), repr(e)))
     return {e: f"e{i}" for i, e in enumerate(order)}
 

@@ -8,6 +8,13 @@ bisimulation and plain forward bisimulation, both played on configuration
 graphs; the barbed game on reversible terms is kept as the operational
 reference.  When the history-preserving game fails, a discriminating context
 is synthesized from the losing configuration and verified in the barbed game.
+
+The games run on each structure's integer index (``ConfStruct.index``):
+configurations are masks of event bits, a history-preserving triple is
+(m1, m2, f) with the bijection f packed into one slot per left event, and
+configuration graphs have masks as states.  Only the public results
+(``hhpb_relation``, ``build_stratification``, the oracle's game) are
+decoded back to frozensets.
 """
 
 from __future__ import annotations
@@ -17,8 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import confstruct as cs
-from .confstruct import ConfStruct
+from .confstruct import ConfStruct, bits
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
                      all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
@@ -30,7 +36,7 @@ class BoundExceeded(RuntimeError):
     """The oracle refuses structures beyond its configured size."""
 
 
-_EMPTY_TRIPLE = (frozenset(), frozenset(), frozenset())
+_EMPTY_TRIPLE = (0, 0, 0)
 
 
 @dataclass
@@ -48,76 +54,118 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Triples (x1, x2, f): f a label- and order-preserving bijection x1 -> x2
+# Triples (m1, m2, f) over the two structures' indices: m1 and m2 are
+# configurations, and f a label- and order-preserving bijection m1 -> m2
+# packed into one slot per left event, holding one plus its image's bit
 
-def _all_triples(c1: ConfStruct, c2: ConfStruct) -> set:
+class _Game:
+    """The two structures one decision compares, their indices, the slot
+    width of a packed bijection, and for each left event the mask of the
+    right events with its label."""
+
+    __slots__ = ("c1", "c2", "i1", "i2", "width", "slot", "match")
+
+    def __init__(self, c1: ConfStruct, c2: ConfStruct):
+        self.c1, self.c2 = c1, c2
+        self.i1, self.i2 = c1.index, c2.index
+        self.width = len(self.i2.events).bit_length()
+        self.slot = (1 << self.width) - 1
+        self.match = [sum(1 << b for b, e2 in enumerate(self.i2.events)
+                          if c1.label(e1) == c2.label(e2))
+                      for e1 in self.i1.events]
+
+    def decode(self, triple) -> tuple:
+        """The triple as (left configuration, right one, frozen bijection)."""
+        m1, m2, f = triple
+        events1, events2 = self.i1.events, self.i2.events
+        return (self.i1.config[m1], self.i2.config[m2], frozenset(
+            (events1[a], events2[(f >> a * self.width & self.slot) - 1])
+            for a in bits(m1)))
+
+
+def _all_triples(g: _Game) -> set:
     """Every order-preserving triple, grown from the empty triple by matched
-    extensions: e1 of x1 pairs with e2 of x2 when their labels agree and f
+    extensions: e1 of m1 pairs with e2 of m2 when their labels agree and f
     maps every cause of e1 below e2.  That suffices for f to stay
-    order-preserving: the order of x1 | {e1} restricted to x1 is that of x1,
-    and e1 lies below no event of x1.
+    order-preserving: the order of m1 | {e1} restricted to m1 is that of m1,
+    and e1 lies below no event of m1.
 
     Nothing is missed when both structures are stable and finitely complete.
-    Pull back a covering chain of x2 along f: each prefix is down-closed in
-    x1, hence a configuration whose causal order is that of x1 restricted to
+    Pull back a covering chain of m2 along f: each prefix is down-closed in
+    m1, hence a configuration whose causal order is that of m1 restricted to
     it, so the chain's pull-back grows the triple one matched pair at a time.
     """
-    # triples share the structures' own configurations, not fresh copies
-    own1, own2 = ({x: x for x in c.configs} for c in (c1, c2))
+    exts1, exts2 = g.i1.exts, g.i2.exts
+    causes1, causes2 = g.i1.causes, g.i2.causes
+    width, slot, match = g.width, g.slot, g.match
     triples = {_EMPTY_TRIPLE}
     frontier = [_EMPTY_TRIPLE]
     while frontier:
-        x1, x2, fs = frontier.pop()
-        f = dict(fs)
-        for e1 in c1.extensions(x1):
-            y1 = own1[x1 | {e1}]
-            causes = [f[d] for d, e in cs.causal_order(c1, y1)
-                      if e == e1 and d != e1]
-            for e2 in c2.extensions(x2):
-                if c1.label(e1) != c2.label(e2):
-                    continue
-                y2 = own2[x2 | {e2}]
-                t = (y1, y2, fs | {(e1, e2)})
-                if t not in triples and all(
-                        (d, e2) in cs.causal_order(c2, y2) for d in causes):
-                    triples.add(t)
-                    frontier.append(t)
+        m1, m2, f = frontier.pop()
+        ext2 = exts2[m2]
+        for e1 in exts1[m1]:
+            y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
+            image = 0                   # the right events f maps e1's causes to
+            for d in bits(causes1(y1, e1)):
+                image |= 1 << (f >> d * width & slot) - 1
+            for e2 in ext2:
+                if row >> e2 & 1:
+                    y2 = m2 | 1 << e2
+                    t = (y1, y2, f | (e2 + 1) << shift)
+                    if t not in triples and not image & ~causes2(y2, e2):
+                        triples.add(t)
+                        frontier.append(t)
     return triples
 
 
-def _isomorphisms(c1: ConfStruct, c2: ConfStruct, triples):
+def _isomorphisms(g: _Game, triples):
     """The triples whose bijection also reflects the causal order, lazily.
 
     A preserving bijection maps the left order's pairs one-to-one into the
     right order's, so it reflects the order iff the two have equal size.
     """
-    return (t for t in triples if len(cs.causal_order(c1, t[0]))
-            == len(cs.causal_order(c2, t[1])))
+    size1, size2 = g.i1.order_size, g.i2.order_size
+    return (t for t in triples if size1(t[0]) == size2(t[1]))
 
 
-def _forth_ok(triple, c1, c2, reference) -> Optional[str]:
-    x1, x2, fs = triple
-    for e1 in c1.extensions(x1):
-        if not any((x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in reference
-                   for e2 in c2.extensions(x2)):
-            return f"left extension {c1.label(e1)} unanswered"
-    for e2 in c2.extensions(x2):
-        if not any((x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in reference
-                   for e1 in c1.extensions(x1)):
-            return f"right extension {c2.label(e2)} unanswered"
+def _forth_ok(triple, g: _Game, reference) -> Optional[str]:
+    m1, m2, f = triple
+    ext1, ext2 = g.i1.exts[m1], g.i2.exts[m2]
+    width, match = g.width, g.match
+    for e1 in ext1:
+        y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
+        for e2 in ext2:
+            if row >> e2 & 1 and (y1, m2 | 1 << e2,
+                                  f | (e2 + 1) << shift) in reference:
+                break
+        else:
+            return f"left extension {g.c1.label(g.i1.events[e1])} unanswered"
+    for e2 in ext2:
+        y2 = m2 | 1 << e2
+        for e1 in ext1:
+            if match[e1] >> e2 & 1 and (m1 | 1 << e1, y2,
+                                        f | (e2 + 1) << e1 * width) in reference:
+                break
+        else:
+            return f"right extension {g.c2.label(g.i2.events[e2])} unanswered"
     return None
 
 
-def _back_ok(triple, c1, c2, reference) -> Optional[str]:
-    x1, x2, fs = triple
-    f = dict(fs)
-    g = {e2: e1 for e1, e2 in fs}
-    for e1 in c1.retractions(x1):
-        if (x1 - {e1}, x2 - {f[e1]}, fs - {(e1, f[e1])}) not in reference:
-            return f"left retraction {c1.label(e1)} unanswered"
-    for e2 in c2.retractions(x2):
-        if (x1 - {g[e2]}, x2 - {e2}, fs - {(g[e2], e2)}) not in reference:
-            return f"right retraction {c2.label(e2)} unanswered"
+def _back_ok(triple, g: _Game, reference) -> Optional[str]:
+    """A right retraction whose preimage is no left retraction leaves no
+    configuration on the left, so only left retractions need a lookup."""
+    m1, m2, f = triple
+    width, slot = g.width, g.slot
+    images = 0
+    for e1 in g.i1.rets[m1]:
+        shift = e1 * width
+        e2 = (f >> shift & slot) - 1
+        images |= 1 << e2
+        if (m1 ^ 1 << e1, m2 ^ 1 << e2, f & ~(slot << shift)) not in reference:
+            return f"left retraction {g.c1.label(g.i1.events[e1])} unanswered"
+    for e2 in g.i2.rets[m2]:
+        if not images >> e2 & 1:
+            return f"right retraction {g.c2.label(g.i2.events[e2])} unanswered"
     return None
 
 
@@ -125,11 +173,11 @@ def _by_size(triples, top: int) -> list:
     """``triples`` as layers 0..top, layer i holding those of size i."""
     layers = [set() for _ in range(top + 1)]
     for t in triples:
-        layers[len(t[0])].add(t)
+        layers[t[0].bit_count()].add(t)
     return layers
 
 
-def _strata(c1: ConfStruct, c2: ConfStruct, layers: list) -> tuple:
+def _strata(g: _Game, layers: list) -> tuple:
     """One layered pass of the game over ``layers`` (triples by size).
 
     Forward layers run from the top down: each keeps the triples whose
@@ -142,10 +190,10 @@ def _strata(c1: ConfStruct, c2: ConfStruct, layers: list) -> tuple:
     """
     forth = layers
     for i in range(len(forth) - 2, -1, -1):
-        forth[i] -= {t for t in forth[i] if _forth_ok(t, c1, c2, forth[i + 1])}
+        forth[i] -= {t for t in forth[i] if _forth_ok(t, g, forth[i + 1])}
     back = forth[:1]
     for layer in forth[1:]:
-        failed = {t for t in layer if _back_ok(t, c1, c2, back[-1])}
+        failed = {t for t in layer if _back_ok(t, g, back[-1])}
         back.append(layer - failed if failed else layer)
     return forth, back
 
@@ -156,18 +204,20 @@ def _strata(c1: ConfStruct, c2: ConfStruct, layers: list) -> tuple:
 def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
     """The maximal back-and-forth history-preserving bisimulation, as the
     set of surviving triples (x1, x2, frozen bijection)."""
-    return set().union(*_hhpb_gfp(c1, c2, _all_triples(c1, c2)))
+    g = _Game(c1, c2)
+    return {g.decode(t) for layer in _hhpb_gfp(g, _all_triples(g))
+            for t in layer}
 
 
-def _hhpb_gfp(c1: ConfStruct, c2: ConfStruct, triples) -> list:
+def _hhpb_gfp(g: _Game, triples) -> list:
     """The maximal relation by size, from layered passes over the isomorphism
     triples until the backward half removes nothing: the forward and
     backward layers then agree, so their union answers every challenge, and
     no pass removes a triple of a bisimulation.  The empty layer above the
     largest removes the top triples that still have an extension."""
-    layers = _by_size(_isomorphisms(c1, c2, triples), c1.max_card() + 1)
+    layers = _by_size(_isomorphisms(g, triples), g.i1.max_card + 1)
     while True:
-        forth, back = _strata(c1, c2, layers)
+        forth, back = _strata(g, layers)
         if sum(map(len, forth)) == sum(map(len, back)):
             return back
         layers = back
@@ -182,15 +232,16 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     image of the retracted event.  On failure the cardinality strata locate
     the shallowest excluded configuration.
     """
-    triples = _all_triples(c1, c2)
-    layers = _hhpb_gfp(c1, c2, triples)
+    g = _Game(c1, c2)
+    triples = _all_triples(g)
+    layers = _hhpb_gfp(g, triples)
     if _EMPTY_TRIPLE in layers[0]:
         return EquivalenceVerdict(True)
-    stratum, witness = _diagnose(c1, _stratify(c1, c2, triples))
+    stratum, witness = _diagnose(g, _stratify(g, triples))
     # the empty triple has no retractions: had all its forward challenges
     # been answered, the relation would not be maximal
     return EquivalenceVerdict(
-        False, stratum, witness or _forth_ok(_EMPTY_TRIPLE, c1, c2, layers[1]))
+        False, stratum, witness or _forth_ok(_EMPTY_TRIPLE, g, layers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +254,15 @@ class StratifiedRelation:
     forth: list = field(default_factory=list)   # forth[i]: triples of size i
     back: list = field(default_factory=list)
 
-    def covered(self, i: int, x1: frozenset, backward: bool) -> bool:
+    @functools.cached_property
+    def _covers(self) -> tuple:
+        """Per direction and layer, the left configurations it covers."""
+        return tuple([{t[0] for t in layer} for layer in layers]
+                     for layers in (self.forth, self.back))
+
+    def covered(self, i: int, x1, backward: bool) -> bool:
         # each backward layer lies inside its forward layer
-        layer = self.back[i] if backward else self.forth[i]
-        return any(t[0] == x1 for t in layer)
+        return x1 in self._covers[backward][i]
 
 
 def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
@@ -218,32 +274,34 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     layer 0; backward layer i keeps the triples of forward layer i whose
     retractions land in backward layer i-1.
     """
-    return _stratify(c1, c2, _all_triples(c1, c2))
+    g = _Game(c1, c2)
+    strata = _stratify(g, _all_triples(g))
+    return StratifiedRelation(strata.k, *(
+        [set(map(g.decode, layer)) for layer in layers]
+        for layers in (strata.forth, strata.back)))
 
 
-def _stratify(c1: ConfStruct, c2: ConfStruct, triples) -> StratifiedRelation:
-    k = c1.max_card()
-    return StratifiedRelation(k, *_strata(c1, c2, _by_size(triples, k)))
+def _stratify(g: _Game, triples) -> StratifiedRelation:
+    k = g.i1.max_card
+    return StratifiedRelation(k, *_strata(g, _by_size(triples, k)))
 
 
 def _config_label_names(c: ConfStruct, x: frozenset) -> str:
     return "{" + ",".join(sorted(str(c.label(e)) for e in x)) + "}"
 
 
-def _diagnose(c1: ConfStruct, strata: StratifiedRelation):
+def _diagnose(g: _Game, strata: StratifiedRelation):
     """Least stratum whose layers exclude some left configuration."""
     by_card: dict[int, list] = defaultdict(list)
-    for x1 in c1.configs:
+    for x1 in g.c1.configs:
         by_card[len(x1)].append(x1)
     for i in range(strata.k + 1):
-        for x1 in sorted(by_card[i], key=lambda x: sorted(map(repr, x))):
-            if not strata.covered(i, x1, backward=False):
-                return ("F", i), (f"configuration {_config_label_names(c1, x1)} "
-                                  f"unmatched in forward stratum {i}")
-        for x1 in sorted(by_card[i], key=lambda x: sorted(map(repr, x))):
-            if not strata.covered(i, x1, backward=True):
-                return ("B", i), (f"configuration {_config_label_names(c1, x1)} "
-                                  f"unmatched in backward stratum {i}")
+        for backward, word in ((False, "forward"), (True, "backward")):
+            for x1 in sorted(by_card[i], key=lambda x: sorted(map(repr, x))):
+                if not strata.covered(i, g.i1.mask[x1], backward):
+                    return (("B" if backward else "F", i),
+                            f"configuration {_config_label_names(g.c1, x1)} "
+                            f"unmatched in {word} stratum {i}")
     return None, None
 
 
@@ -260,7 +318,9 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
     if len(c1.events) + len(c2.events) > bound:
         raise BoundExceeded(
             f"{len(c1.events)} + {len(c2.events)} events exceed bound {bound}")
-    triples = set(_isomorphisms(c1, c2, _all_triples(c1, c2)))
+    game = _Game(c1, c2)
+    triples = {game.decode(t) for t in _isomorphisms(game, _all_triples(game))}
+    empty = (frozenset(), frozenset(), frozenset())
 
     def challenges(t):
         x1, x2, fs = t
@@ -314,9 +374,9 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
                 if remaining[p] == 0:
                     attacker_wins.add(p)
                     queue.append(p)
-    if _EMPTY_TRIPLE not in triples:
+    if empty not in triples:
         return False
-    return ("A", _EMPTY_TRIPLE) not in attacker_wins
+    return ("A", empty) not in attacker_wins
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +439,12 @@ def _barbed_game(side1, side2, starts=None) -> EquivalenceVerdict:
 
 
 def _config_graph(c: ConfStruct):
-    """``c`` as a state graph starting at the empty configuration, one edge
-    per extension; targets are ``c``'s own configurations, not copies."""
-    own = {x: x for x in c.configs}
-    return (c.configs, [(x, c.label(e), own[x | {e}])
-                        for x in c.configs for e in c.extensions(x)],
-            frozenset())
+    """``c`` as a state graph on its index: the states are configuration
+    masks, one edge per extension, from the empty configuration 0."""
+    index = c.index
+    return (index.config, [(m, c.label(index.events[e]), m | 1 << e)
+                           for m, ext in index.exts.items() for e in ext],
+            0)
 
 
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct
@@ -410,7 +470,7 @@ def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
         for x, action, y in edges:
             succ[tag, x].append((action, (tag, y)))
     block = _coarsest_blocks(dict.fromkeys(succ, 0), succ)
-    return block[0, frozenset()] == block[1, frozenset()]
+    return block[0, 0] == block[1, 0]
 
 
 def forward_strong_bisim(p1: Process, p2: Process) -> bool:

@@ -152,6 +152,21 @@ class TestCheck:
                                "--format", "json")
         assert code == 1 and json.loads(out)["direction"] == "B"
 
+    @pytest.mark.parametrize("argv, code, verdict", [
+        # sync-2 against sync-2', its last pair expanded
+        (("a.0 | 'a.0 | b.0 | 'b.0", "a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}"),
+         1, {"related": False, "failing_stratum": 2, "direction": "B",
+             "witness": "configuration {'b,b} unmatched in backward stratum 2",
+             "context": None}),
+        (("tau.0 | tau.0 | tau.0 | tau.0", "tau.0 | tau.0 | tau.0 | tau.0",
+          "--no-par-collapse"),
+         0, {"related": True, "failing_stratum": None, "direction": None,
+             "witness": None, "context": None}),
+    ])
+    def test_json_pinned(self, capsys, argv, code, verdict):
+        got, out, err = run_cli(capsys, "check", *argv, "--format", "json")
+        assert (got, out, err) == (code, json.dumps(verdict) + "\n", "")
+
     @pytest.mark.parametrize("equiv", ["hhpb", "barbed", "forward"])
     def test_max_events(self, capsys, equiv):
         code, out, err = run_cli(capsys, "check", "a.0|b.0", "a.0|b.0",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from revccs.syntax import TAU, inp, out, parse
+from corpus import enumerated_terms, random_terms
+from revccs.syntax import TAU, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
                                canonical_event_ids, causal_order, coproduct,
@@ -210,6 +211,38 @@ class TestCausality:
         c = encode_ccs(parse("a.0"))
         (e,) = c.events
         assert causal_order(c, frozenset({e})) == frozenset({(e, e)})
+
+
+def _definitional_causes(c, x):
+    """Event -> strict causes in x: d lies below e iff every
+    sub-configuration of x holding e also holds d."""
+    subs = [z for z in c.configs if z <= x]
+    return {e: {d for d in x - {e} if all(d in z for z in subs if e in z)}
+            for e in x}
+
+
+def test_index_matches_definitions():
+    # the structure's index against extensions and causal orders computed
+    # from the definitions: corpus structures, sync-2 and sync-2' (causes to
+    # map), three parallel silent steps kept apart, and random terms
+    terms = (enumerated_terms()
+             + [parse("a.0 | 'a.0 | b.0 | 'b.0"),
+                parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}"),
+                collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)]
+             + random_terms(60, seed=7))
+    for t in terms:
+        c = encode_ccs(t)
+        index = c.index
+        assert index.config.keys() == set(map(index.mask.get, c.configs))
+        for m, x in index.config.items():
+            assert {index.events[i] for i in cs.bits(m)} == x
+            assert index.decode(index.exts[m]) == tuple(sorted(
+                (e for e in c.events - x if x | {e} in c.configs), key=repr))
+            causes = _definitional_causes(c, x)
+            for e, below in causes.items():
+                assert index.causes(m, index.bit[e]) == sum(
+                    1 << index.bit[d] for d in below), (unparse(t), x, e)
+            assert index.order_size(m) == sum(map(len, causes.values()))
 
 
 class TestTransitions:

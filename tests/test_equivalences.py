@@ -18,8 +18,8 @@ from revccs.equivalences import (BoundExceeded, hhpb,
                                  default_context_family, forward_bisim_structs,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
-                                 _all_triples, _barbed_game, _config_graph,
-                                 _isomorphisms)
+                                 _Game, _all_triples, _barbed_game,
+                                 _config_graph, _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -281,10 +281,12 @@ def test_triples_match_reference_on_corpus():
                                     (TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
-        triples = _all_triples(s1, s2)
-        assert triples == preserving, (unparse(p1), unparse(p2))
-        assert set(_isomorphisms(s1, s2, triples)) == reflecting, (
+        game = _Game(s1, s2)
+        triples = _all_triples(game)
+        assert set(map(game.decode, triples)) == preserving, (
             unparse(p1), unparse(p2))
+        assert set(map(game.decode, _isomorphisms(game, triples))) == (
+            reflecting), (unparse(p1), unparse(p2))
 
 
 def _swept_relation(c1, c2, reflecting):
