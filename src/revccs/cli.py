@@ -20,9 +20,8 @@ from .syntax import collapse, parse, parse_context, unparse
 from .rccs import (backward_steps, barbs, erase, forward_steps, lift,
                    normalize, origin, reachable_states)
 from .encoding import encode_ccs
-from .equivalences import (EquivalenceVerdict, _barbed_game, _config_graph,
-                           barbed_bf_bisim_structs, forward_bisim_structs,
-                           hhpb, synthesize_context)
+from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
+                           forward_bisim_structs, hhpb, synthesize_context)
 
 
 def _add_common(sub):
@@ -148,8 +147,8 @@ def cmd_check(args) -> int:
     if args.equiv == "hhpb":
         verdict = hhpb(s1, s2)
     elif args.equiv == "barbed":  # witnesses name the lifted, normalized starts
-        verdict = _barbed_game(_config_graph(s1), _config_graph(s2),
-                               (normalize(lift(p1)), normalize(lift(p2))))
+        verdict = barbed_bf_bisim_structs(
+            s1, s2, starts=(normalize(lift(p1)), normalize(lift(p2))))
     else:
         verdict = EquivalenceVerdict(forward_bisim_structs(s1, s2))
     return _emit_verdict(verdict, args)

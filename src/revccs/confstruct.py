@@ -20,7 +20,7 @@ class NotAConfiguration(ValueError):
 
 @dataclass(frozen=True)
 class PairLabel:
-    """Transient product label before the synchronization relabelling."""
+    """Label of a product event pairing an event of each side."""
 
     left: Action
     right: Action
@@ -302,43 +302,47 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 # Constructions
 
-def product(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
-    """Synchronous product; events are pairs with an absent component allowed.
+def product(c1: ConfStruct, c2: ConfStruct,
+            pair_label: Callable = PairLabel) -> ProductResult:
+    """Synchronous product, with its projections read off the event pairs.
 
-    Configurations are grown from the empty set by single-event extension,
-    which materializes exactly the events occurring in some configuration.
+    Events are ("x", e1, e2), e1 or e2 None when absent, a pair labelled by
+    ``pair_label`` of the two labels; pairs it labels killed are left out.
+    Events are numbered as they first appear, and a configuration is a mask
+    over them grown from the empty one with its projection masks m1 and m2:
+    its moves are e1 alone, e2 alone and their pair, for e1 in
+    ``c1.index.exts[m1]`` and e2 in ``c2.index.exts[m2]``.  Growth by single
+    events materializes exactly the events of some configuration.
     """
-    def mk(e1, e2):
-        return ("x", e1, e2)
-
-    configs = {frozenset()}
-    frontier = [frozenset()]
-    labels: dict = {}
+    i1, i2 = c1.index, c2.index
+    pairs = [[pair_label(c1.label(e1), c2.label(e2)) for e2 in i2.events]
+             for e1 in i1.events]
+    number: dict = {}                   # (e1 bit, e2 bit) -> product bit
+    tags, labels, configs = [], {}, {0: frozenset()}
+    frontier = [(0, 0, 0)]
     while frontier:
-        x = frontier.pop()
-        x1 = frozenset(e[1] for e in x if e[1] is not None)
-        x2 = frozenset(e[2] for e in x if e[2] is not None)
-        ext1, ext2 = c1.extensions(x1), c2.extensions(x2)
-        candidates = ([mk(e1, None) for e1 in ext1]
-                      + [mk(None, e2) for e2 in ext2]
-                      + [mk(e1, e2) for e1 in ext1 for e2 in ext2])
-        for e in candidates:
-            nxt = x | {e}
-            if nxt not in configs:
-                configs.add(nxt)
-                frontier.append(nxt)
-            if e not in labels:
-                if e[1] is None:
-                    labels[e] = c2.label(e[2])
-                elif e[2] is None:
-                    labels[e] = c1.label(e[1])
-                else:
-                    labels[e] = PairLabel(c1.label(e[1]), c2.label(e[2]))
-    events = set().union(*configs) if configs else set()
-    struct = ConfStruct(events, configs, {e: labels[e] for e in events})
-    p1 = Morphism(struct, c1, {e: e[1] for e in events if e[1] is not None})
-    p2 = Morphism(struct, c2, {e: e[2] for e in events if e[2] is not None})
-    return ProductResult(struct, p1, p2)
+        m, m1, m2 = frontier.pop()
+        ext1, ext2 = i1.exts[m1], i2.exts[m2]
+        for a, b in ([(a, None) for a in ext1] + [(None, b) for b in ext2]
+                     + [(a, b) for a in ext1 for b in ext2
+                        if pairs[a][b] is not KILLED]):
+            k = number.get((a, b))
+            if k is None:
+                k = number[a, b] = len(tags)
+                tag = ("x", None if a is None else i1.events[a],
+                       None if b is None else i2.events[b])
+                tags.append(tag)
+                labels[tag] = (c2.label(tag[2]) if a is None else
+                               c1.label(tag[1]) if b is None else pairs[a][b])
+            n = m | 1 << k
+            if n not in configs:
+                configs[n] = configs[m] | {tags[k]}
+                frontier.append((n, m1 if a is None else m1 | 1 << a,
+                                 m2 if b is None else m2 | 1 << b))
+    struct = ConfStruct(tags, configs.values(), labels)
+    return ProductResult(struct, *(
+        Morphism(struct, c, {e: e[i] for e in tags if e[i] is not None})
+        for i, c in ((1, c1), (2, c2))))
 
 
 def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
@@ -361,9 +365,7 @@ def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
 def _label_mentions(label, name: str) -> bool:
     if isinstance(label, PairLabel):
         return (_label_mentions(label.left, name) or _label_mentions(label.right, name))
-    if isinstance(label, Killed):
-        return False
-    return label.channel == name
+    return getattr(label, "channel", None) == name    # killed: no channel
 
 
 def restrict_name(c: ConfStruct, name: str) -> ConfStruct:
@@ -389,34 +391,32 @@ def relabel(c: ConfStruct, f: Callable) -> ConfStruct:
 
 
 def _sync_label(label):
-    if isinstance(label, PairLabel):
-        left, right = label.left, label.right
-        if (not left.is_tau and not right.is_tau and right == left.dual()):
-            return TAU
-        return KILLED
-    return label
+    """Tau for a pair of dual visible labels, killed for any other pair."""
+    if not isinstance(label, PairLabel):
+        return label
+    left, right = label.left, label.right
+    return TAU if not left.is_tau and right == left.dual() else KILLED
 
 
 def parallel_full(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
-    struct, p1, p2 = product(c1, c2)
-    struct = relabel(struct, _sync_label)
-    keep = {e for e in struct.events if not isinstance(struct.label(e), Killed)}
-    struct = restrict_events(struct, keep)
-    p1 = Morphism(struct, c1, {e: v for e, v in p1.mapping.items() if e in keep})
-    p2 = Morphism(struct, c2, {e: v for e, v in p2.mapping.items() if e in keep})
-    return ProductResult(struct, p1, p2)
+    return product(c1, c2, lambda l1, l2: _sync_label(PairLabel(l1, l2)))
 
 
 def parallel(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
-    """Product, synchronization relabelling, removal of killed events."""
+    """Product, synchronization relabelling, removal of killed events: the
+    product grown with only the pairs of dual visible labels, as tau.  No
+    configuration is lost: a killed-free one is reached through its own
+    subsets.  No event is: a kept pair (e1, e2) lies in the configuration
+    that grows left-only and right-only events up to configurations that e1
+    and e2 extend, then adds the pair (a kept e1 or e2 alone likewise).
+    """
     return parallel_full(c1, c2).struct
 
 
 def residual(c: ConfStruct, x: frozenset) -> ConfStruct:
     """The structure of the futures of configuration ``x``."""
     x = frozenset(x)
-    if x not in c.configs:
-        raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
+    c.index.mask_of(x)                  # NotAConfiguration unless it is one
     configs = {y - x for y in c.configs if x <= y}
     events = set().union(*configs) if configs else set()
     return ConfStruct(events, configs, {e: c.label(e) for e in events})
@@ -435,10 +435,9 @@ def strictly_below(order: frozenset, e1, e2) -> bool:
 
 
 def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
-    """Forward extensions and backward retractions of ``x``, as (event, dir)."""
+    """Forward extensions and backward retractions of ``x``, as (event, dir);
+    ``extensions`` raises ``NotAConfiguration`` when x is no configuration."""
     x = frozenset(x)
-    if x not in c.configs:
-        raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
     return ({(e, "fwd") for e in c.extensions(x)}
             | {(e, "bwd") for e in c.retractions(x)})
 
@@ -545,20 +544,15 @@ def _check_empty(c1, c2, require_onto):
 
 
 def is_substructure(c1: ConfStruct, c2: ConfStruct, align: dict | None = None) -> bool:
-    """Substructure check, literally or through a supplied event alignment."""
-    if align is not None:
-        mapped_events = {align.get(e, e) for e in c1.events}
-        if len(mapped_events) != len(c1.events) or not mapped_events <= c2.events:
-            return False
-        if any(c1.label(e) != c2.label(align.get(e, e)) for e in c1.events):
-            return False
-        mapped_configs = {frozenset(align.get(e, e) for e in x) for x in c1.configs}
-        return mapped_configs <= c2.configs
-    if c1.events <= c2.events:
-        if (c1.configs <= c2.configs
-                and all(c1.label(e) == c2.label(e) for e in c1.events)):
-            return True
-    return embeds(c1, c2) is not None
+    """Substructure check through an event alignment, or literally and then
+    up to embedding when none is supplied."""
+    f = (align or {}).get
+    events = {f(e, e) for e in c1.events}
+    if (len(events) == len(c1.events) and events <= c2.events
+            and all(c1.label(e) == c2.label(f(e, e)) for e in c1.events)
+            and {frozenset(f(e, e) for e in x) for x in c1.configs} <= c2.configs):
+        return True
+    return align is None and embeds(c1, c2) is not None
 
 
 # ---------------------------------------------------------------------------

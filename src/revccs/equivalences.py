@@ -12,7 +12,7 @@ is synthesized from the losing configuration and verified in the barbed game.
 The games run on each structure's integer index (``ConfStruct.index``):
 configurations are masks of event bits, a history-preserving triple is
 (m1, m2, f) with the bijection f packed into one slot per left event, and
-configuration graphs have masks as states.  Only the public results
+the bisimulation games refine dense int graphs.  Only the public results
 (``hhpb_relation``, ``build_stratification``, the oracle's game) are
 decoded back to frozensets.
 """
@@ -382,72 +382,73 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
 # ---------------------------------------------------------------------------
 # Bisimulation games as coarsest stable partitions
 
-def _coarsest_blocks(nodes: dict, succ) -> dict:
-    """Coarsest partition refining ``nodes`` (node -> initial class) that is
-    stable under ``succ`` (node -> (label, target) moves), as node -> block.
-
-    Nodes share a block iff they are bisimilar: each round splits blocks by
-    the labelled blocks their moves reach, until no block splits.
+def _coarsest_blocks(block: list, succ: list) -> list:
+    """Coarsest partition refining ``block`` (node -> initial class, on
+    nodes 0..size-1) stable under ``succ`` (node -> moves, each packed as
+    label * size + target), as node -> block.  Nodes share a block iff they
+    are bisimilar: each round splits blocks by the labelled blocks their
+    moves reach, until no block splits.
     """
-    block, count = nodes, len(set(nodes.values()))
+    size, count = len(block), len(set(block))
     while True:
         ids: dict = {}
-        block = {n: ids.setdefault(
-                     (block[n], frozenset((a, block[d]) for a, d in succ[n])),
-                     len(ids))
-                 for n in block}
+        block = [ids.setdefault((b, frozenset([
+                     m - m % size + block[m % size] for m in moves])), len(ids))
+                 for b, moves in zip(block, succ)]
         if len(ids) == count:
             return block
         count = len(ids)
 
 
-def _barbed_game(side1, side2, starts=None) -> EquivalenceVerdict:
-    """The barbed back-and-forth game between two state graphs.
-
-    A side is (states, forward edges (src, action, dst), start state).  A
-    state's barbs are its visible actions; silent edges are moves ``"f"``
-    forward and ``"b"`` backward.  ``starts`` names the start states in
-    witnesses.
+def _barbed_game(g1: tuple, g2: tuple, starts=None) -> EquivalenceVerdict:
+    """The barbed back-and-forth game between two state graphs (number of
+    states, edges (src, action, dst), start), with ``g2``'s states numbered
+    after ``g1``'s.  A state's barbs are its visible actions; a silent edge
+    is a forward move (label 0) and, the other way, a backward one (label
+    1).  ``starts`` names the start states in witnesses.
     """
-    barbs: dict = {}
-    succ = defaultdict(list)
-    for tag, (states, edges, _) in enumerate((side1, side2)):
-        barbs.update({(tag, key): set() for key in states})
-        for src, action, dst in edges:
-            if action.is_tau:
-                succ[tag, src].append(("f", (tag, dst)))
-                succ[tag, dst].append(("b", (tag, src)))
-            else:
-                barbs[tag, src].add(action)
-    initial = {node: frozenset(b) for node, b in barbs.items()}
+    size = g1[0] + g2[0]
+    barbs: list = [set() for _ in range(size)]
+    succ: list = [[] for _ in range(size)]
+    for src, action, dst in g1[1] + g2[1]:
+        if action.is_tau:
+            succ[src].append(dst)
+            succ[dst].append(size + src)
+        else:
+            barbs[src].add(action)
+    ids: dict = {}
+    initial = [ids.setdefault(frozenset(b), len(ids)) for b in barbs]
     block = _coarsest_blocks(initial, succ)
-    s1, s2 = (0, side1[2]), (1, side2[2])
+    s1, s2 = g1[2], g2[2]
     if block[s1] == block[s2]:
         return EquivalenceVerdict(True)
     if initial[s1] != initial[s2]:
         at = " at the start" if starts else ""
         return EquivalenceVerdict(False, witness=f"barbs differ{at}")
-    # the partition is stable, so some challenge from the start pair fails
-    for move, word in (("f", "silent move"), ("b", "silent undo")):
-        for i, (who, me, other) in enumerate((("left", s1, s2),
-                                               ("right", s2, s1))):
-            answers = {block[d] for m, d in succ[other] if m == move}
-            if any(m == move and block[d] not in answers for m, d in succ[me]):
+    # the partition is stable, so some challenge from the start pair fails:
+    # a labelled block one start reaches and the other does not
+    reach = [{m - m % size + block[m % size] for m in succ[s]} for s in (s1, s2)]
+    for label, word in ((0, "silent move"), (1, "silent undo")):
+        for i, who in enumerate(("left", "right")):
+            if any(r // size == label and r not in reach[1 - i] for r in reach[i]):
                 at = f" at {starts[i]}" if starts else ""
                 return EquivalenceVerdict(
                     False, witness=f"{who} {word} unanswered{at}")
 
 
-def _config_graph(c: ConfStruct):
-    """``c`` as a state graph on its index: the states are configuration
-    masks, one edge per extension, from the empty configuration 0."""
+def _config_graph(c: ConfStruct, base: int = 0) -> tuple:
+    """``c`` as a state graph on its index: the configurations numbered
+    from ``base`` in the index's order, one edge per extension, and the
+    empty configuration as start."""
     index = c.index
-    return (index.config, [(m, c.label(index.events[e]), m | 1 << e)
-                           for m, ext in index.exts.items() for e in ext],
-            0)
+    number = {m: k for k, m in enumerate(index.exts, base)}
+    labels = [c.label(e) for e in index.events]
+    return len(number), [(k, labels[e], number[m | 1 << e])
+                         for k, (m, ext) in enumerate(index.exts.items(), base)
+                         for e in ext], number[0]
 
 
-def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct
+def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
                             ) -> EquivalenceVerdict:
     """Barb-preserving bisimulation matching silent moves both ways.
 
@@ -456,21 +457,24 @@ def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct
     which preserves and reflects labelled moves both ways; so each
     configuration is bisimilar to its state, and given the terms' starts
     the game on the two configuration graphs answers as the term game does.
+    ``starts``, the two start terms, are named in witnesses.
     """
-    return _barbed_game(_config_graph(c1), _config_graph(c2))
+    g1 = _config_graph(c1)
+    return _barbed_game(g1, _config_graph(c2, g1[0]), starts)
 
 
 def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     """Strong bisimilarity of the empty configurations, each extension a
     move labelled by its event's label: by the correspondence argued at
     ``barbed_bf_bisim_structs``, the forward game of the denoted processes."""
-    succ: dict = {}
-    for tag, (states, edges, _) in enumerate(map(_config_graph, (c1, c2))):
-        succ.update({(tag, x): [] for x in states})
-        for x, action, y in edges:
-            succ[tag, x].append((action, (tag, y)))
-    block = _coarsest_blocks(dict.fromkeys(succ, 0), succ)
-    return block[0, 0] == block[1, 0]
+    g1 = _config_graph(c1)
+    g2 = _config_graph(c2, g1[0])
+    size, ids = g1[0] + g2[0], {}
+    succ: list = [[] for _ in range(size)]
+    for src, action, dst in g1[1] + g2[1]:
+        succ[src].append(ids.setdefault(action, len(ids)) * size + dst)
+    block = _coarsest_blocks([0] * size, succ)
+    return block[g1[2]] == block[g2[2]]
 
 
 def forward_strong_bisim(p1: Process, p2: Process) -> bool:
@@ -478,8 +482,10 @@ def forward_strong_bisim(p1: Process, p2: Process) -> bool:
     return forward_bisim_structs(encode_ccs(p1), encode_ccs(p2))
 
 
-def _state_graph(g: StateGraph):
-    return g.nodes, [(s, lbl.action, d) for s, lbl, d in g.edges], g.initial
+def _state_graph(g: StateGraph, base: int = 0) -> tuple:
+    number = {key: k for k, key in enumerate(g.nodes, base)}
+    return len(number), [(number[s], lbl.action, number[d])
+                         for s, lbl, d in g.edges], number[g.initial]
 
 
 def barbed_bf_bisim_terms(t1: RTerm, t2: RTerm,
@@ -487,7 +493,8 @@ def barbed_bf_bisim_terms(t1: RTerm, t2: RTerm,
                           ) -> EquivalenceVerdict:
     """The barbed back-and-forth game played on reachable state graphs."""
     g1, g2 = reachable_states(t1, max_states), reachable_states(t2, max_states)
-    return _barbed_game(_state_graph(g1), _state_graph(g2),
+    first = _state_graph(g1)
+    return _barbed_game(first, _state_graph(g2, first[0]),
                         (g1.nodes[g1.initial], g2.nodes[g2.initial]))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import enumerated_terms, random_terms
-from revccs.syntax import TAU, collapse, inp, out, parse, unparse
+from revccs.syntax import TAU, Par, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
                                canonical_event_ids, causal_order, coproduct,
@@ -159,6 +159,72 @@ class TestRelabelParallel:
                 assert proj.apply(x) in factor.configs
                 defined = [e for e in x if e in proj.mapping]
                 assert len({proj.mapping[e] for e in defined}) == len(defined)
+
+
+def _definitional_product(c1, c2):
+    """The product grown as frozensets from the empty configuration: each
+    step adds e1 alone, e2 alone or the pair (e1, e2), for extensions e1 and
+    e2 of the configuration's two projections."""
+    configs, frontier = {frozenset()}, [frozenset()]
+    while frontier:
+        x = frontier.pop()
+        ext1 = c1.extensions(frozenset(e[1] for e in x if e[1] is not None))
+        ext2 = c2.extensions(frozenset(e[2] for e in x if e[2] is not None))
+        for e in ([("x", e1, None) for e1 in ext1]
+                  + [("x", None, e2) for e2 in ext2]
+                  + [("x", e1, e2) for e1 in ext1 for e2 in ext2]):
+            if x | {e} not in configs:
+                configs.add(x | {e})
+                frontier.append(x | {e})
+    events = set().union(*configs)
+    return ConfStruct(events, configs, {
+        e: c2.label(e[2]) if e[1] is None else c1.label(e[1])
+        if e[2] is None else cs.PairLabel(c1.label(e[1]), c2.label(e[2]))
+        for e in events})
+
+
+def _with_projections(c, c1, c2):
+    return cs.ProductResult(c, *(
+        Morphism(c, factor, {e: e[i] for e in c.events if e[i] is not None})
+        for i, factor in ((1, c1), (2, c2))))
+
+
+def _composed_pairs(p):
+    """The (left, right) components of every parallel composition in p."""
+    if isinstance(p, Par):
+        yield p.left, p.right
+    for child in (getattr(p, "left", None), getattr(p, "right", None),
+                  getattr(p, "body", None)):
+        if child is not None:
+            yield from _composed_pairs(child)
+
+
+def test_composition_matches_definition():
+    # product and parallel against the definitional construction: frozenset
+    # growth, the synchronization relabelling, then restriction to the
+    # events not killed; on every pair encode_ccs composes, sync-2 against
+    # sync-2', and the small factor pairs of criterion 10
+    sync_2 = parse("a.0 | 'a.0 | b.0 | 'b.0")
+    sync_2x = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
+    terms = (enumerated_terms() + random_terms(60, seed=7) + [
+        sync_2, sync_2x,
+        collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)])
+    pairs = {(encode_ccs(l), encode_ccs(r))
+             for t in terms for l, r in _composed_pairs(t)}
+    pairs.add((encode_ccs(sync_2), encode_ccs(sync_2x)))
+    small = [c for c in dict.fromkeys(
+        map(encode_ccs, sorted(enumerated_terms(), key=unparse)))
+        if len(c.events) <= 6]
+    pairs.update((c, d) for i, c in enumerate(small) for d in small[i:])
+    for c1, c2 in pairs:
+        prod = _definitional_product(c1, c2)
+        assert product(c1, c2) == _with_projections(prod, c1, c2)
+        synced = relabel(prod, cs._sync_label)
+        composed = restrict_events(synced, {
+            e for e in synced.events
+            if not isinstance(synced.label(e), cs.Killed)})
+        assert parallel_full(c1, c2) == _with_projections(composed, c1, c2)
+        assert parallel(c1, c2) == composed
 
 
 class TestResidual:

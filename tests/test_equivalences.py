@@ -11,15 +11,14 @@ from revccs.syntax import collapse, instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          normalize, reachable_states)
-from revccs.equivalences import (BoundExceeded, hhpb,
+from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  barbed_bf_bisim_structs,
                                  barbed_bf_bisim_terms, build_stratification,
                                  check_congruence_closure,
                                  default_context_family, forward_bisim_structs,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
-                                 _Game, _all_triples, _barbed_game,
-                                 _config_graph, _isomorphisms)
+                                 _Game, _all_triples, _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -234,14 +233,24 @@ def test_games_agree_on_corpus():
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         barbed = barbed_bf_bisim_terms(lift(p1), lift(p2))
         starts = (normalize(lift(p1)), normalize(lift(p2)))
-        assert _barbed_game(_config_graph(s1), _config_graph(s2),
-                            starts) == barbed, pair
+        assert barbed_bf_bisim_structs(s1, s2, starts=starts) == barbed, pair
         forward = forward_bisim_structs(s1, s2)
         assert not hhpb(s1, s2).related or (barbed.related and forward), pair
         assert barbed.related == _gfp_related(barbed_side(p1),
                                               barbed_side(p2)), pair
         assert forward == _gfp_related(forward_side(p1),
                                        forward_side(p2)), pair
+
+
+def test_barbed_witness_silent_undo():
+    # one step into tau.0 against 0: the undo is the only challenge, and
+    # no pair played from its origins reaches that branch of the game
+    ((_, after),) = forward_steps(normalize(lift(parse("tau.0"))))
+    nil = lift(parse("0"))
+    assert barbed_bf_bisim_terms(after, nil) == EquivalenceVerdict(
+        False, witness="left silent undo unanswered at <1,tau,0> |> 0")
+    assert barbed_bf_bisim_terms(nil, after) == EquivalenceVerdict(
+        False, witness="right silent undo unanswered at <1,tau,0> |> 0")
 
 
 # ---------------------------------------------------------------------------
