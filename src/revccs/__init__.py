@@ -14,13 +14,13 @@ from .syntax import (Action, TAU, inp, out, Nil, NIL, Prefix, Sum, Par,
 from .confstruct import (ConfStruct, EMPTY, Morphism, validate, product,
                          coproduct, restrict_events, restrict_name, prefix,
                          relabel, parallel, residual, causal_order,
-                         transitions, minimal_events, prune, embeds, isomorphic,
-                         is_substructure, to_json, from_json, to_dot)
+                         transitions, prune, embeds, isomorphic, to_json,
+                         from_json, to_dot)
 from .rccs import (Fork, FORK, Past, Monitored, RPar, RRestrict, RTerm,
                    TransitionLabel, IncoherentTerm, lift, erase, normalize,
-                   congruence_normal_form, forward_steps, backward_steps,
-                   is_coherent, origin, trace_to_origin, barb, barbs,
-                   reachable_states, state_key, ccs_steps, ccs_state_key)
+                   forward_steps, backward_steps, is_coherent, origin,
+                   trace_to_origin, barb, barbs, reachable_states, state_key,
+                   ccs_steps, ccs_state_key)
 from .encoding import (encode_ccs, encode_rccs, address, Address,
                        ContextProjection, project, NoMatchingEvent,
                        AmbiguousEvent, CorrespondenceFailure,

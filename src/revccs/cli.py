@@ -24,17 +24,15 @@ from .equivalences import (EquivalenceVerdict, barbed_bf_bisim_structs,
                            forward_bisim_structs, hhpb, synthesize_context)
 
 
-def _add_common(sub):
-    sub.add_argument("--format", dest="fmt", choices=("text", "json", "dot"),
-                     default="text")
-    sub.add_argument("--max-events", type=int, default=10,
-                     help="size guard for denotations (event count)")
-    sub.add_argument("--max-context", type=int, default=8,
-                     help="largest number of tester factors to synthesize")
+def _options(sub, formats=("text", "json"), max_events=False):
+    """The options a subcommand reads: its output formats, the parallel
+    collapse switch and, where it builds denotations, their size guard."""
+    sub.add_argument("--format", dest="fmt", choices=formats, default="text")
+    if max_events:
+        sub.add_argument("--max-events", type=int, default=10,
+                         help="size guard for denotations (event count)")
     sub.add_argument("--no-par-collapse", action="store_true",
                      help="do not merge identical parallel prefixes")
-    sub.add_argument("--contexts", dest="contexts_file", default=None,
-                     help="file of candidate contexts, one per line")
 
 
 def _prepare(text: str, args):
@@ -163,8 +161,8 @@ def cmd_discriminate(args) -> int:
               file=sys.stderr)
         return 2
     ctx = None
-    if args.contexts_file:
-        with open(args.contexts_file) as fh:
+    if args.contexts:
+        with open(args.contexts) as fh:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -180,8 +178,7 @@ def cmd_discriminate(args) -> int:
                     ctx = cand
                     break
     else:
-        found = synthesize_context(p1, p2, max_factors=args.max_context)
-        ctx = found[0] if found else None
+        ctx = synthesize_context(p1, p2)
     if ctx is not None:
         verdict = EquivalenceVerdict(False, verdict.failing_stratum,
                                      verdict.witness, unparse(ctx))
@@ -196,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("parse", help="parse and normalize a process")
     p.add_argument("process")
-    _add_common(p)
+    _options(p)
     p.set_defaults(func=cmd_parse)
 
     p = subs.add_parser("encode", help="denote a process as a structure")
     p.add_argument("process")
-    _add_common(p)
+    _options(p, ("text", "json", "dot"), max_events=True)
     p.set_defaults(func=cmd_encode)
 
     p = subs.add_parser("step", help="run a process and list transitions")
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", default=None,
                    help="comma separated actions to perform first; a "
                         "trailing * undoes the action")
-    _add_common(p)
+    _options(p, ("text", "json", "dot"))
     p.set_defaults(func=cmd_step)
 
     p = subs.add_parser("check", help="decide an equivalence")
@@ -218,14 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equiv",
                    choices=("hhpb", "barbed", "forward"),
                    default="hhpb")
-    _add_common(p)
+    _options(p, max_events=True)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("discriminate",
                         help="decide and, on failure, produce a context")
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p)
+    p.add_argument("--contexts", default=None,
+                   help="file of candidate contexts, one per line")
+    _options(p, max_events=True)
     p.set_defaults(func=cmd_discriminate)
 
     return ap

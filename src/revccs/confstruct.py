@@ -55,29 +55,26 @@ class ConfIndex:
 
     Event ``events[i]`` is bit i (``bit`` maps back), in ``repr`` order, so
     reading a mask from its lowest bit up visits events in the order
-    ``extensions`` lists them.  ``config`` maps each configuration's mask to
-    the structure's own configuration, in the family's iteration order, and
-    ``mask`` maps back; ``exts`` and ``rets`` hold each configuration's
+    ``extensions`` lists them.  ``exts`` and ``rets`` map each
+    configuration's mask, in the family's iteration order, to its
     extensions and retractions as ascending tuples of bits, and ``depths``
     each event's least configuration size (None for an event in no
     configuration).  Cause masks and order sizes are computed on first use.
     """
 
-    __slots__ = ("events", "bit", "config", "mask", "exts", "rets", "depths",
-                 "max_card", "_causes", "_sizes")
+    __slots__ = ("events", "bit", "exts", "rets", "depths", "max_card",
+                 "_causes", "_sizes")
 
     def __init__(self, c: "ConfStruct"):
         self.events = tuple(sorted(c.events, key=repr))
         self.bit = {e: i for i, e in enumerate(self.events)}
-        self.config = {sum(1 << self.bit[e] for e in x): x for x in c.configs}
-        self.mask = {x: m for m, x in self.config.items()}
-        self.exts = {m: [] for m in self.config}
-        self.rets = {m: [] for m in self.config}
+        self.exts = {sum(1 << self.bit[e] for e in x): [] for x in c.configs}
+        self.rets = {m: [] for m in self.exts}
         depths = [None] * len(self.events)
-        for m in self.config:
+        for m in self.exts:
             size = m.bit_count()
             for i in bits(m):
-                if m ^ 1 << i in self.config:
+                if m ^ 1 << i in self.exts:
                     self.exts[m ^ 1 << i].append(i)
                     self.rets[m].append(i)
                 if depths[i] is None or size < depths[i]:
@@ -86,19 +83,31 @@ class ConfIndex:
             for m, found in table.items():
                 table[m] = tuple(sorted(found))
         self.depths = tuple(depths)
-        self.max_card = max((m.bit_count() for m in self.config), default=0)
+        self.max_card = max((m.bit_count() for m in self.exts), default=0)
         self._causes: dict = {}
         self._sizes: dict = {}
 
     def mask_of(self, x: frozenset) -> int:
-        m = self.mask.get(x)
-        if m is None:
+        """The mask of the configuration ``x``."""
+        bit = self.bit
+        m = sum(1 << bit[e] for e in x if e in bit)
+        if m not in self.exts or m.bit_count() != len(x):
             raise NotAConfiguration(f"{sorted(map(repr, x))} is not a configuration")
         return m
+
+    def config(self, m: int) -> frozenset:
+        """The configuration with mask ``m``."""
+        return frozenset(self.events[i] for i in bits(m))
 
     def decode(self, positions) -> tuple:
         """The events at the given bit positions."""
         return tuple(self.events[i] for i in positions)
+
+    def ordered(self) -> list:
+        """The configuration masks by size, then by their events' ``repr``
+        lists: bits are numbered in ``repr`` order, so comparing the bit
+        positions compares those lists."""
+        return sorted(self.exts, key=lambda m: (m.bit_count(), bits(m)))
 
     def causes(self, y: int, e: int) -> int:
         """The strict causes of event ``e`` in configuration ``y``, as a mask.
@@ -266,7 +275,7 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
         out.append(("empty-configuration", None))
     index = c.index
     bit = index.bit
-    for m, x in index.config.items():
+    for m in index.exts:
         # finiteness: a finite z ∈ C with e ∈ z ⊆ x; x itself witnesses it
         # for finite families, so only coincidence-freeness can fail here:
         # e1 and e2 coincide iff each lies below the other, that is iff every
@@ -274,10 +283,11 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
         # marks the k-th sub-configuration holding event i: the order is the
         # definitional one, since ConfIndex.causes assumes stability.
         held = dict.fromkeys(bits(m), 0)
-        for k, z in enumerate(z for z in index.config if not z & ~m):
+        for k, z in enumerate(z for z in index.exts if not z & ~m):
             for i in bits(z):
                 held[i] |= 1 << k
         if len(set(held.values())) < len(held):
+            x = index.config(m)
             out.extend(("coincidence-freeness", (x, e1, e2))
                        for e1 in x for e2 in x
                        if held[bit[e1]] == held[bit[e2]] and repr(e1) < repr(e2))
@@ -286,16 +296,16 @@ def validate(c: ConfStruct) -> list[tuple[str, object]]:
     # that contains x, so x and y are bounded iff above[x] & above[y]
     tops = [z for z, ext in index.exts.items() if not ext]
     above = {x: sum(1 << i for i, z in enumerate(tops) if not x & ~z)
-             for x in index.config}
-    config_list = sorted(index.config, key=int.bit_count)
+             for x in index.exts}
+    config_list = sorted(index.exts, key=int.bit_count)
     for i, x in enumerate(config_list):
         for y in config_list[i:]:
-            if x | y in index.config:
-                if x & y not in index.config:
-                    out.append(("stability", (index.config[x], index.config[y])))
+            if x | y in index.exts:
+                if x & y not in index.exts:
+                    out.append(("stability", (index.config(x), index.config(y))))
             elif above[x] & above[y]:
                 out.append(("finite-completeness",
-                            (index.config[x], index.config[y])))
+                            (index.config(x), index.config(y))))
     return out
 
 
@@ -442,10 +452,6 @@ def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
             | {(e, "bwd") for e in c.retractions(x)})
 
 
-def minimal_events(c: ConfStruct) -> frozenset:
-    return frozenset(e for e in c.events if frozenset((e,)) in c.configs)
-
-
 def depth(c: ConfStruct, e) -> int:
     """Smallest cardinality of a configuration containing ``e``."""
     index = c.index
@@ -541,18 +547,6 @@ def _check_empty(c1, c2, require_onto):
     if require_onto:
         return {} if c1.configs == c2.configs else None
     return {} if c1.configs <= c2.configs else None
-
-
-def is_substructure(c1: ConfStruct, c2: ConfStruct, align: dict | None = None) -> bool:
-    """Substructure check through an event alignment, or literally and then
-    up to embedding when none is supplied."""
-    f = (align or {}).get
-    events = {f(e, e) for e in c1.events}
-    if (len(events) == len(c1.events) and events <= c2.events
-            and all(c1.label(e) == c2.label(f(e, e)) for e in c1.events)
-            and {frozenset(f(e, e) for e in x) for x in c1.configs} <= c2.configs):
-        return True
-    return align is None and embeds(c1, c2) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 from .confstruct import ConfStruct, bits
@@ -78,7 +79,7 @@ class _Game:
         """The triple as (left configuration, right one, frozen bijection)."""
         m1, m2, f = triple
         events1, events2 = self.i1.events, self.i2.events
-        return (self.i1.config[m1], self.i2.config[m2], frozenset(
+        return (self.i1.config(m1), self.i2.config(m2), frozenset(
             (events1[a], events2[(f >> a * self.width & self.slot) - 1])
             for a in bits(m1)))
 
@@ -286,21 +287,17 @@ def _stratify(g: _Game, triples) -> StratifiedRelation:
     return StratifiedRelation(k, *_strata(g, _by_size(triples, k)))
 
 
-def _config_label_names(c: ConfStruct, x: frozenset) -> str:
-    return "{" + ",".join(sorted(str(c.label(e)) for e in x)) + "}"
-
-
 def _diagnose(g: _Game, strata: StratifiedRelation):
     """Least stratum whose layers exclude some left configuration."""
-    by_card: dict[int, list] = defaultdict(list)
-    for x1 in g.c1.configs:
-        by_card[len(x1)].append(x1)
-    for i in range(strata.k + 1):
+    for i, layer in groupby(g.i1.ordered(), int.bit_count):
+        layer = list(layer)
         for backward, word in ((False, "forward"), (True, "backward")):
-            for x1 in sorted(by_card[i], key=lambda x: sorted(map(repr, x))):
-                if not strata.covered(i, g.i1.mask[x1], backward):
+            for m1 in layer:
+                if not strata.covered(i, m1, backward):
+                    names = sorted(str(g.c1.label(e))
+                                   for e in g.i1.decode(bits(m1)))
                     return (("B" if backward else "F", i),
-                            f"configuration {_config_label_names(g.c1, x1)} "
+                            "configuration {" + ",".join(names) + "} "
                             f"unmatched in {word} stratum {i}")
     return None, None
 
@@ -501,6 +498,9 @@ def barbed_bf_bisim_terms(t1: RTerm, t2: RTerm,
 # ---------------------------------------------------------------------------
 # Context synthesis
 
+MAX_FACTORS = 8                 # the most tester factors a candidate holds
+
+
 def _factor(label, barb_name: str) -> Process:
     return Sum(Prefix(label.dual(), NIL), Prefix(inp(barb_name), NIL))
 
@@ -515,17 +515,16 @@ def _candidate(labels, taken) -> Context:
     return ctx
 
 
-def synthesize_context(p1: Process, p2: Process,
-                       max_factors: int = 8
-                       ) -> Optional[tuple[Context, frozenset]]:
+def synthesize_context(p1: Process, p2: Process) -> Optional[Context]:
     """Search for a context separating two processes in the barbed game.
 
     The bare hole is tried first.  Then, for each configuration of either
     denotation, a parallel tester offers the co-action of every visible
     event in it guarded against a fresh barb, so consuming the tester leaves
     an observable trace; refinements add one tester for an enabled extension.
-    Every candidate is verified before being returned, together with the
-    configuration it was built from.
+    Testers of at most ``MAX_FACTORS`` factors are tried by size, then by
+    their labels, once per multiset of labels; each is verified before it is
+    returned.
     """
     taken = all_names(p1) | all_names(p2)
 
@@ -535,30 +534,28 @@ def synthesize_context(p1: Process, p2: Process,
             encode_ccs(instantiate(ctx, p2))).related
 
     if discriminates(HOLE):
-        return HOLE, frozenset()
-
-    seen: set = set()
-    candidates: list[tuple] = []
+        return HOLE
+    candidates: set = set()
     for struct in (encode_ccs(p1), encode_ccs(p2)):
-        for x in sorted(struct.configs, key=lambda x: (len(x), sorted(map(repr, x)))):
-            labels = sorted((struct.label(e) for e in x
-                             if not struct.label(e).is_tau), key=str)
-            if labels and len(labels) <= max_factors:
-                candidates.append((tuple(labels), x))
-            ext_labels = sorted({struct.label(e) for e in struct.extensions(x)
-                                 if not struct.label(e).is_tau}, key=str)
-            for extra in ext_labels:
-                if len(labels) + 1 <= max_factors:
-                    candidates.append((tuple(labels) + (extra,), x))
-    candidates.sort(key=lambda c: (len(c[0]), tuple(map(str, c[0]))))
-    for labels, x in candidates:
+        index = struct.index
+        visible = {i: struct.label(e) for i, e in enumerate(index.events)
+                   if not struct.label(e).is_tau}
+        for m, ext in index.exts.items():
+            labels = tuple(sorted((visible[i] for i in bits(m) if i in visible),
+                                  key=str))
+            if labels and len(labels) <= MAX_FACTORS:
+                candidates.add(labels)
+            if len(labels) < MAX_FACTORS:
+                candidates.update(labels + (visible[i],)
+                                  for i in ext if i in visible)
+    seen: set = set()
+    for labels in sorted(candidates, key=lambda c: (len(c), tuple(map(str, c)))):
         sig = tuple(sorted(map(str, labels)))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        ctx = _candidate(labels, taken)
-        if discriminates(ctx):
-            return ctx, x
+        if sig not in seen:
+            seen.add(sig)
+            ctx = _candidate(labels, taken)
+            if discriminates(ctx):
+                return ctx
     return None
 
 

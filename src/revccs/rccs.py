@@ -281,30 +281,6 @@ def _sorted_process(p: Process) -> Process:
     return Restrict(p.name, _sorted_process(p.body))
 
 
-def congruence_normal_form(t: RTerm) -> RTerm:
-    """A representative term: memories distributed, restriction placement
-    normalized, sum branches sorted and ids renamed by first traversal
-    occurrence.  Structurally congruent terms share a `state_key`, which
-    also absorbs the renaming of restricted names."""
-    id_map: dict = {}
-
-    def walk(term: RTerm) -> RTerm:
-        if isinstance(term, Monitored):
-            mem = []
-            for e in term.memory:
-                if isinstance(e, Fork):
-                    mem.append(e)
-                else:
-                    ident = id_map.setdefault(e.ident, len(id_map) + 1)
-                    mem.append(Past(ident, e.action, _sorted_process(e.rest)))
-            return Monitored(tuple(mem), _sorted_process(term.process))
-        if isinstance(term, RPar):
-            return RPar(walk(term.left), walk(term.right))
-        return RRestrict(term.name, walk(term.body))
-
-    return walk(_placement(normalize(t)))
-
-
 def ccs_state_key(p: Process):
     """Canonical key of a plain process, additionally flattening parallel
     composition into a sorted multiset and dropping inert components."""

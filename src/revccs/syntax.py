@@ -521,12 +521,13 @@ def detect_auto_conflict_or_concurrency(t: CcsTerm) -> list[LabelClash]:
     from .encoding import encode_ccs
 
     struct = encode_ccs(t)
+    index = struct.index
     violations = []
-    for x in sorted(struct.configs, key=lambda c: (len(c), sorted(map(repr, c)))):
+    for m in index.ordered():
         by_label: dict[Action, list] = {}
-        for e in struct.extensions(x):
+        for e in index.decode(index.exts[m]):
             by_label.setdefault(struct.label(e), []).append(e)
         for label, events in sorted(by_label.items(), key=lambda kv: str(kv[0])):
             if len(events) > 1:
-                violations.append(LabelClash(x, label, tuple(events)))
+                violations.append(LabelClash(index.config(m), label, tuple(events)))
     return violations

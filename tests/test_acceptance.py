@@ -226,11 +226,10 @@ def test_criterion_9_context_closure():
             else:
                 broken += 1
         else:
-            found = synthesize_context(p, q)
-            if found is None:
+            ctx = synthesize_context(p, q)
+            if ctx is None:
                 undiscriminated += 1
                 continue
-            ctx, _ = found
             v = barbed_bf_bisim_structs(encode_ccs(instantiate(ctx, p)),
                                         encode_ccs(instantiate(ctx, q)))
             if not v.related:

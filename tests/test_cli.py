@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import revccs
-from revccs.cli import main
+from revccs.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,61 @@ class TestDiscriminate:
                                  "a.b.0+b.a.0", "--max-events", "4",
                                  "--contexts", str(f))
         assert code == 2 and out == "" and "--max-events" in err
+
+    # the expansion-law pairs of width 3: each context is the first
+    # separating one of the candidate order (size, then labels)
+    @pytest.mark.parametrize("right, context", [
+        ("a.0 | {b.c.0 + c.b.0}", "'c.0 + c_2.0 | ('b.0 + c_1.0 | [·])"),
+        ("{a.b.0 + b.a.0} | c.0", "'b.0 + c_2.0 | ('a.0 + c_1.0 | [·])"),
+        ("b.0 | {a.c.0 + c.a.0}", "'c.0 + c_2.0 | ('a.0 + c_1.0 | [·])"),
+        ("a.{b.0 | c.0} + b.{a.0 | c.0} + c.{a.0 | b.0}",
+         "'b.0 + c_2.0 | ('a.0 + c_1.0 | [·])"),
+        ("a.{b.c.0 + c.b.0} + b.{a.c.0 + c.a.0} + c.{a.b.0 + b.a.0}",
+         "'b.0 + c_2.0 | ('a.0 + c_1.0 | [·])"),
+    ])
+    def test_expansion_context_pinned(self, capsys, right, context):
+        code, out, _ = run_cli(capsys, "discriminate", "a.0 | b.0 | c.0",
+                               right, "--max-events", "40")
+        assert code == 1 and out.splitlines()[-1] == f"context: {context}"
+
+
+# each subcommand takes only the options it reads
+@pytest.mark.parametrize("argv", [
+    ("parse", "a.0", "--max-events", "3"),
+    ("parse", "a.0", "--contexts", "f"),
+    ("parse", "a.0", "--format", "dot"),
+    ("encode", "a.0", "--contexts", "f"),
+    ("step", "a.0", "--max-events", "3"),
+    ("step", "a.0", "--contexts", "f"),
+    ("check", "a.0", "a.0", "--contexts", "f"),
+    ("check", "a.0", "a.0", "--format", "dot"),
+    ("discriminate", "a.0", "b.0", "--format", "dot"),
+] + [(cmd, *args, "--max-context", "3") for cmd, args in (
+    ("parse", ["a.0"]), ("encode", ["a.0"]), ("step", ["a.0"]),
+    ("check", ["a.0", "a.0"]), ("discriminate", ["a.0", "b.0"]))])
+def test_option_not_taken(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith("usage: revccs ")
+    last = out.err.splitlines()[-1]
+    assert last.startswith("revccs") and ": error: " in last
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("head", [
+    ["check", "a.0", "b.0"],
+    *(["check", "a.0", "b.0", "--equiv", equiv]
+      for equiv in ("hhpb", "barbed", "forward")),
+    ["discriminate", "a.0", "b.0"],
+])
+@pytest.mark.parametrize("collapse", [[], ["--no-par-collapse"]])
+def test_benchmark_flags_parse(head, collapse):
+    args = build_parser().parse_args(
+        head + ["--format", "json", "--max-events", "40"] + collapse)
+    assert (args.fmt, args.max_events, args.no_par_collapse) == (
+        "json", 40, bool(collapse))
 
 
 @pytest.mark.parametrize("argv", [

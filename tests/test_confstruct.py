@@ -7,8 +7,7 @@ from revccs.syntax import TAU, Par, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
                                canonical_event_ids, causal_order, coproduct,
-                               depth, embeds, from_json, isomorphic,
-                               is_substructure, minimal_events, parallel,
+                               depth, embeds, from_json, isomorphic, parallel,
                                parallel_full, prefix, product, prune, relabel,
                                residual, restrict_events, restrict_name,
                                to_dot, to_json, transitions, validate)
@@ -123,7 +122,7 @@ class TestPrefix:
     def test_chain(self):
         c = prefix(A, encode_ccs(parse("b.0")))
         assert sorted(len(x) for x in c.configs) == [0, 1, 2]
-        assert len(minimal_events(c)) == 1
+        assert len(c.extensions(frozenset())) == 1
 
     def test_keeps_empty_config(self):
         c = prefix(A, encode_ccs(parse("b.0")))
@@ -299,9 +298,14 @@ def test_index_matches_definitions():
     for t in terms:
         c = encode_ccs(t)
         index = c.index
-        assert index.config.keys() == set(map(index.mask.get, c.configs))
-        for m, x in index.config.items():
-            assert {index.events[i] for i in cs.bits(m)} == x
+        assert len(index.exts) == len(c.configs)
+        assert list(map(index.config, index.ordered())) == sorted(
+            c.configs, key=lambda x: (len(x), sorted(map(repr, x))))
+        for x in c.configs:
+            m = index.mask_of(x)
+            assert index.config(m) == x
+            with pytest.raises(NotAConfiguration):
+                index.mask_of(x | {"no event"})
             assert index.decode(index.exts[m]) == tuple(sorted(
                 (e for e in c.events - x if x | {e} in c.configs), key=repr))
             causes = _definitional_causes(c, x)
@@ -337,10 +341,6 @@ class TestTransitions:
 
 
 class TestComparison:
-    def test_self_substructure(self):
-        c = encode_ccs(parse("a.b.0 + b.a.0"))
-        assert is_substructure(c, c)
-
     def test_empty_embeds_everywhere(self):
         for text in ("a.0", "a.0 | b.0"):
             assert embeds(EMPTY, encode_ccs(parse(text))) is not None

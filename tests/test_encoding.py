@@ -3,8 +3,8 @@
 import pytest
 
 from revccs.syntax import inp, out, parse, parse_context
-from revccs.confstruct import (depth, embeds, isomorphic, minimal_events,
-                               residual, validate)
+from revccs.confstruct import (depth, embeds, isomorphic, residual,
+                               validate)
 from revccs.rccs import erase, forward_steps, lift, normalize, trace_to_origin
 from revccs.encoding import (Address, AmbiguousEvent, CorrespondenceFailure,
                              address, check_operational_correspondence,
@@ -53,7 +53,7 @@ class TestEncodeCcs:
             p = parse(text)
             c = encode_ccs(p)
             lts = ccs_steps(p)
-            minimal = minimal_events(c)
+            minimal = c.extensions(frozenset())
             assert {str(a) for a, _ in lts} == {str(c.label(e)) for e in minimal}
             for a, q in lts:
                 assert any(str(c.label(e)) == str(a)

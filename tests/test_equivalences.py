@@ -120,15 +120,13 @@ class TestBarbed:
 
 class TestSynthesis:
     def test_hole_suffices_for_barb_gap(self):
-        ctx, cfg = synthesize_context(parse("a.0"), parse("b.0"))
-        assert unparse(ctx) in ("[·]",)
-        assert cfg == frozenset()
+        ctx = synthesize_context(parse("a.0"), parse("b.0"))
+        assert unparse(ctx) == "[·]"
 
     def test_headline_pair(self):
         p1, p2 = parse("a.0 | b.0"), parse("a.b.0 + b.a.0")
-        found = synthesize_context(p1, p2)
-        assert found is not None
-        ctx, _ = found
+        ctx = synthesize_context(p1, p2)
+        assert ctx is not None
         v = barbed_bf_bisim_structs(encode_ccs(instantiate(ctx, p1)),
                                     encode_ccs(instantiate(ctx, p2)))
         assert not v.related

@@ -6,9 +6,9 @@ from corpus import enumerated_terms
 from revccs.syntax import NIL, Prefix, inp, out, parse, unparse
 from revccs.rccs import (FORK, IncoherentTerm, Monitored, Past, RPar,
                          RRestrict, backward_steps, barb, barbs,
-                         ccs_state_key, ccs_steps, congruence_normal_form,
-                         erase, forward_steps, is_coherent, lift, normalize,
-                         origin, reachable_states, state_key, trace_to_origin)
+                         ccs_state_key, ccs_steps, erase, forward_steps,
+                         is_coherent, lift, normalize, origin,
+                         reachable_states, state_key, trace_to_origin)
 
 
 def steps_by_action(term, wanted):
@@ -128,7 +128,6 @@ class TestCongruence:
         t1 = run(lift(parse("a.0 | b.0")), "a", "b")
         t2 = run(lift(parse("a.0 | b.0")), "b", "a")
         assert state_key(t1) == state_key(t2)
-        assert congruence_normal_form(t1) == congruence_normal_form(t2)
 
     def test_distinct_states_distinct_keys(self):
         t = lift(parse("a.b.0"))
