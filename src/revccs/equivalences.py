@@ -29,7 +29,7 @@ from .confstruct import ConfStruct, bits
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
                      all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
-from .rccs import RTerm, StateGraph, lift, reachable_states
+from .rccs import RTerm, lift, reachable_states
 from .encoding import encode_ccs
 
 
@@ -397,26 +397,19 @@ def _coarsest_blocks(block: list, succ: list) -> list:
         count = len(ids)
 
 
-def _barbed_game(g1: tuple, g2: tuple, starts=None) -> EquivalenceVerdict:
-    """The barbed back-and-forth game between two state graphs (number of
-    states, edges (src, action, dst), start), with ``g2``'s states numbered
-    after ``g1``'s.  A state's barbs are its visible actions; a silent edge
-    is a forward move (label 0) and, the other way, a backward one (label
-    1).  ``starts`` names the start states in witnesses.
+def _barbed_game(barbs: list, succ: list, s1: int, s2: int, starts=None
+                 ) -> EquivalenceVerdict:
+    """The barbed back-and-forth game on one graph holding both sides'
+    states, numbered 0..size-1: ``barbs[k]`` names the set of state k's
+    visible actions, and ``succ[k]`` holds its silent moves, a forward one
+    as its target (label 0) and a backward one as size + target (label 1).
+    ``s1`` and ``s2`` are the start states; ``starts`` names them in
+    witnesses.
     """
-    size = g1[0] + g2[0]
-    barbs: list = [set() for _ in range(size)]
-    succ: list = [[] for _ in range(size)]
-    for src, action, dst in g1[1] + g2[1]:
-        if action.is_tau:
-            succ[src].append(dst)
-            succ[dst].append(size + src)
-        else:
-            barbs[src].add(action)
+    size = len(barbs)
     ids: dict = {}
-    initial = [ids.setdefault(frozenset(b), len(ids)) for b in barbs]
+    initial = [ids.setdefault(b, len(ids)) for b in barbs]
     block = _coarsest_blocks(initial, succ)
-    s1, s2 = g1[2], g2[2]
     if block[s1] == block[s2]:
         return EquivalenceVerdict(True)
     if initial[s1] != initial[s2]:
@@ -433,45 +426,69 @@ def _barbed_game(g1: tuple, g2: tuple, starts=None) -> EquivalenceVerdict:
                     False, witness=f"{who} {word} unanswered{at}")
 
 
-def _config_graph(c: ConfStruct, base: int = 0) -> tuple:
-    """``c`` as a state graph on its index: the configurations numbered
-    from ``base`` in the index's order, one edge per extension, and the
-    empty configuration as start."""
-    index = c.index
-    number = {m: k for k, m in enumerate(index.exts, base)}
-    labels = [c.label(e) for e in index.events]
-    return len(number), [(k, labels[e], number[m | 1 << e])
-                         for k, (m, ext) in enumerate(index.exts.items(), base)
-                         for e in ext], number[0]
+def _numbered(*structs):
+    """Each structure with its index and its configurations numbered, in
+    the index's order, after the previous structure's."""
+    base = 0
+    for c in structs:
+        index = c.index
+        yield c, index, {m: k for k, m in enumerate(index.exts, base)}
+        base += len(index.exts)
 
 
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
                             ) -> EquivalenceVerdict:
     """Barb-preserving bisimulation matching silent moves both ways.
 
-    By operational correspondence (criterion 6) a term's state graph is the
-    image of its denotation's configuration graph under the address map,
-    which preserves and reflects labelled moves both ways; so each
-    configuration is bisimilar to its state, and given the terms' starts
-    the game on the two configuration graphs answers as the term game does.
-    ``starts``, the two start terms, are named in witnesses.
+    The game runs on the configuration graphs: a configuration's barbs are
+    the labels of its visible extensions, its silent moves its tau
+    extensions forward and, undone, its tau retractions backward.  By operational
+    correspondence (criterion 6) a term's state graph is the image of its
+    denotation's configuration graph under the address map, which
+    preserves and reflects labelled moves both ways; so each configuration
+    is bisimilar to its state, and given the terms' starts the game on the
+    two configuration graphs answers as the term game does.  ``starts``,
+    the two start terms, are named in witnesses.
     """
-    g1 = _config_graph(c1)
-    return _barbed_game(g1, _config_graph(c2, g1[0]), starts)
+    size = len(c1.index.exts) + len(c2.index.exts)
+    barbs: list = []
+    succ: list = [[] for _ in range(size)]
+    begin, ids = [], {}
+    for c, index, number in _numbered(c1, c2):
+        barb = []                       # per event: 0 if silent, else a bit
+        for e in index.events:
+            action = c.label(e)
+            barb.append(0 if action.is_tau
+                        else 1 << ids.setdefault(action, len(ids)))
+        for m, ext in index.exts.items():
+            k, seen = number[m], 0
+            for e in ext:
+                if barb[e]:
+                    seen |= barb[e]
+                else:                   # a silent move, and its undoing
+                    n = number[m | 1 << e]
+                    succ[k].append(n)
+                    succ[n].append(size + k)
+            barbs.append(seen)
+        begin.append(number[0])
+    return _barbed_game(barbs, succ, *begin, starts)
 
 
 def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     """Strong bisimilarity of the empty configurations, each extension a
     move labelled by its event's label: by the correspondence argued at
     ``barbed_bf_bisim_structs``, the forward game of the denoted processes."""
-    g1 = _config_graph(c1)
-    g2 = _config_graph(c2, g1[0])
-    size, ids = g1[0] + g2[0], {}
-    succ: list = [[] for _ in range(size)]
-    for src, action, dst in g1[1] + g2[1]:
-        succ[src].append(ids.setdefault(action, len(ids)) * size + dst)
+    size = len(c1.index.exts) + len(c2.index.exts)
+    succ: list = []
+    begin, ids = [], {}
+    for c, index, number in _numbered(c1, c2):
+        label = [ids.setdefault(c.label(e), len(ids)) * size
+                 for e in index.events]
+        succ.extend([label[e] + number[m | 1 << e] for e in ext]
+                    for m, ext in index.exts.items())
+        begin.append(number[0])
     block = _coarsest_blocks([0] * size, succ)
-    return block[g1[2]] == block[g2[2]]
+    return block[begin[0]] == block[begin[1]]
 
 
 def forward_strong_bisim(p1: Process, p2: Process) -> bool:
@@ -479,20 +496,27 @@ def forward_strong_bisim(p1: Process, p2: Process) -> bool:
     return forward_bisim_structs(encode_ccs(p1), encode_ccs(p2))
 
 
-def _state_graph(g: StateGraph, base: int = 0) -> tuple:
-    number = {key: k for k, key in enumerate(g.nodes, base)}
-    return len(number), [(number[s], lbl.action, number[d])
-                         for s, lbl, d in g.edges], number[g.initial]
-
-
 def barbed_bf_bisim_terms(t1: RTerm, t2: RTerm,
                           max_states: Optional[int] = None
                           ) -> EquivalenceVerdict:
     """The barbed back-and-forth game played on reachable state graphs."""
-    g1, g2 = reachable_states(t1, max_states), reachable_states(t2, max_states)
-    first = _state_graph(g1)
-    return _barbed_game(first, _state_graph(g2, first[0]),
-                        (g1.nodes[g1.initial], g2.nodes[g2.initial]))
+    graphs = reachable_states(t1, max_states), reachable_states(t2, max_states)
+    size = sum(len(g.nodes) for g in graphs)
+    barbs: list = [set() for _ in range(size)]
+    succ: list = [[] for _ in range(size)]
+    base, begin = 0, []
+    for g in graphs:
+        number = {key: k for k, key in enumerate(g.nodes, base)}
+        for s, lbl, d in g.edges:
+            if lbl.action.is_tau:
+                succ[number[s]].append(number[d])
+                succ[number[d]].append(size + number[s])
+            else:
+                barbs[number[s]].add(lbl.action)
+        begin.append(number[g.initial])
+        base += len(number)
+    return _barbed_game(list(map(frozenset, barbs)), succ, *begin,
+                        tuple(g.nodes[g.initial] for g in graphs))
 
 
 # ---------------------------------------------------------------------------

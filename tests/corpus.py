@@ -1,9 +1,11 @@
 """Shared term corpora for the test suite.
 
-Two sources: a deterministic enumeration of small collapsed, clash-free
-processes (used for pairwise equivalence checks) and a seeded random
+Three sources: a deterministic enumeration of small collapsed, clash-free
+processes (used for pairwise equivalence checks), a seeded random
 generator of precondition-satisfying terms (used for per-term property
-checks).  Both stay within four prefixes so every denotation is small.
+checks), and seeded rewrites of a term by laws that preserve HHPB (pairs
+with a known answer).  All stay small so every denotation is: the first two
+within four prefixes, a rewritten term within six.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import itertools
 import random
 
 from revccs.syntax import (CcsTerm, Nil, NIL, Par, Prefix, Restrict, Sum,
-                           collapse, detect_auto_conflict_or_concurrency, inp,
-                           is_collapsed, out, parse, push_restrictions,
-                           sum_of, unparse)
+                           all_names, collapse,
+                           detect_auto_conflict_or_concurrency, free_names,
+                           fresh_name, inp, is_collapsed, out, parse,
+                           push_restrictions, rename_free, sum_of, unparse)
 from revccs.rccs import ccs_state_key
 
 
@@ -120,6 +123,80 @@ def random_terms(count: int = 500, seed: int = 20260826,
         seen.add(key)
         keep.append(t)
     return keep
+
+
+def _law_rewrites(t: CcsTerm) -> list[tuple[str, CcsTerm]]:
+    """The terms one HHPB-preserving law turns ``t`` into at its root, with
+    the law's name: commutativity and associativity of ``|`` and ``+``,
+    ``P | 0 = P``, alpha-renaming of a restricted name and scope extension
+    ``(a)(P | Q) = (a)P | Q`` for ``a`` not free in ``Q``, both ways."""
+    found = [("par-unit", Par(t, NIL))]
+    if isinstance(t, (Par, Sum)):
+        op = type(t)
+        found.append((f"{op.__name__.lower()}-comm", op(t.right, t.left)))
+        if isinstance(t.left, op):
+            found.append((f"{op.__name__.lower()}-assoc",
+                          op(t.left.left, op(t.left.right, t.right))))
+        if isinstance(t.right, op):
+            found.append((f"{op.__name__.lower()}-assoc",
+                          op(op(t.left, t.right.left), t.right.right)))
+    if isinstance(t, Par):
+        if isinstance(t.right, Nil):
+            found.append(("par-unit", t.left))
+        if isinstance(t.left, Restrict) and t.left.name not in free_names(t.right):
+            found.append(("scope", Restrict(t.left.name, Par(t.left.body, t.right))))
+    if isinstance(t, Restrict):
+        new = fresh_name(t.name, all_names(t))
+        found.append(("alpha", Restrict(new, rename_free(t.body, t.name, new))))
+        if isinstance(t.body, Par) and t.name not in free_names(t.body.right):
+            found.append(("scope", Par(Restrict(t.name, t.body.left), t.body.right)))
+    return found
+
+
+def _sites(t: CcsTerm, rebuild=lambda s: s):
+    """Each subterm of ``t`` with the function putting a term in its place."""
+    yield t, rebuild
+    if isinstance(t, Prefix):
+        yield from _sites(t.body, lambda s: rebuild(Prefix(t.action, s)))
+    elif isinstance(t, Restrict):
+        yield from _sites(t.body, lambda s: rebuild(Restrict(t.name, s)))
+    elif isinstance(t, (Par, Sum)):
+        op = type(t)
+        yield from _sites(t.left, lambda s: rebuild(op(s, t.right)))
+        yield from _sites(t.right, lambda s: rebuild(op(t.left, s)))
+
+
+def rewrite_by_laws(t: CcsTerm, rng: random.Random,
+                    steps: int) -> tuple[CcsTerm, list[str]]:
+    """``t`` rewritten ``steps`` times by HHPB-preserving laws, with the
+    laws applied in order.  Each step draws a law among those that apply
+    somewhere in the term, then one place where it applies; a draw that
+    would leave a sum branch unguarded is drawn again."""
+    laws = []
+    while len(laws) < steps:
+        options = [(law, new, rebuild) for site, rebuild in _sites(t)
+                   for law, new in _law_rewrites(site)]
+        law = rng.choice(sorted({law for law, _, _ in options}))
+        _, new, rebuild = rng.choice([o for o in options if o[0] == law])
+        try:
+            t = rebuild(new)
+        except ValueError:
+            continue
+        laws.append(law)
+    return t, laws
+
+
+def law_pair(seed: int, steps: int = 3) -> tuple[CcsTerm, CcsTerm, list[str]]:
+    """A seeded random term, its rewrite by ``steps`` HHPB-preserving laws,
+    and the laws applied.  One term in four is a sum of three guarded
+    branches, so that the associativity of ``+`` has somewhere to apply."""
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        t = sum_of([Prefix(rng.choice(ACTIONS), _random_term(rng, 1))
+                    for _ in range(3)])
+    else:
+        t = _random_term(rng, 4)
+    return (t, *rewrite_by_laws(t, rng, steps))
 
 
 FIG_TERMS = {

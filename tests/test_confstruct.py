@@ -215,6 +215,8 @@ def test_composition_matches_definition():
         map(encode_ccs, sorted(enumerated_terms(), key=unparse)))
         if len(c.events) <= 6]
     pairs.update((c, d) for i, c in enumerate(small) for d in small[i:])
+    # e and f coincide, so growth reaches neither
+    pairs.add((struct([(), ("e", "f")], {"e": A, "f": B}), small[-1]))
     for c1, c2 in pairs:
         prod = _definitional_product(c1, c2)
         assert product(c1, c2) == _with_projections(prod, c1, c2)
@@ -313,6 +315,62 @@ def test_index_matches_definitions():
                 assert index.causes(m, index.bit[e]) == sum(
                     1 << index.bit[d] for d in below), (unparse(t), x, e)
             assert index.order_size(m) == sum(map(len, causes.values()))
+
+
+def _subterms(t):
+    yield t
+    for child in (getattr(t, "left", None), getattr(t, "right", None),
+                  getattr(t, "body", None)):
+        if child is not None:
+            yield from _subterms(child)
+
+
+def _assert_index_is_definitional(c):
+    """The index a construction handed ``c`` against the one rebuilt from
+    its decoded family, and equality and hashing against that rebuilt
+    structure."""
+    rebuilt = ConfStruct(c.events, c.configs, c.labels)
+    got, want = c.index, rebuilt.index
+    assert got.events == want.events
+    assert got.exts == want.exts and got.rets == want.rets
+    assert got.depths == want.depths and got.max_card == want.max_card
+    assert c == rebuilt and rebuilt == c and hash(c) == hash(rebuilt)
+
+
+def test_constructed_index_matches_family():
+    # every structure encode_ccs builds on the way to the corpus, the random
+    # terms, sync-2 and sync-2', three parallel silent steps kept apart and
+    # restrictions, prefixes and sums over products; then the products,
+    # their parallel forms and relabellings on the criterion-10 factor pairs
+    terms = (enumerated_terms() + random_terms(60, seed=7) + [
+        parse("a.0 | 'a.0 | b.0 | 'b.0"),
+        parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}"),
+        collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False),
+        parse("(a)(a.0 | 'a.0 | b.0)"), parse("(b)(a.b.0 | 'b.0 | 'a.0)"),
+        parse("(a)(a.c.0 | b.'a.0)"),    # restriction deepens c: 2 to 3
+        parse("c.(a.0 | 'a.0) + b.(a.0 | b.'b.0)"),
+        parse("a.(b.0 | 'b.0 | c.0) + 'c.(a)(a.0 | 'a.0)"),
+        parse("(a)(c.(a.0 | b.0) + 'a.0) | 'b.a.0")])
+    structs = {encode_ccs(s) for t in terms for s in _subterms(t)}
+    small = [c for c in dict.fromkeys(
+        map(encode_ccs, sorted(enumerated_terms(), key=unparse)))
+        if len(c.events) <= 6]
+    for i, c in enumerate(small):
+        for d in small[i:]:
+            structs.update((product(c, d).struct, parallel_full(c, d).struct,
+                            relabel(product(c, d).struct, cs._sync_label),
+                            coproduct(parallel(c, d), prefix(A, d))))
+    for c in structs:
+        _assert_index_is_definitional(c)
+
+
+def test_product_depth_is_not_the_sum_of_its_parts():
+    # the pair of the two b's lies in {(a,'a), (b,'b)}: depth 2, where the
+    # components' depths would give 2 + 2 - 1
+    c = encode_ccs(parse("a.b.0 | 'a.'b.0"))
+    (pair,) = [e for e in c.events if None not in e[1:] and depth(c, e) > 1]
+    assert depth(c, pair) == 2
+    _assert_index_is_definitional(c)
 
 
 class TestTransitions:

@@ -1,12 +1,14 @@
 """Equivalence deciders, stratification, synthesis, congruence closure."""
 
+import collections
 import functools
 import itertools
 
 import pytest
 
 from corpus import corpus_pairs, random_terms
-from revccs.confstruct import causal_order
+from revccs.cli import main
+from revccs.confstruct import EMPTY, ConfIndex, causal_order
 from revccs.syntax import collapse, instantiate, parse, parse_context, unparse
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
@@ -333,3 +335,28 @@ def test_relation_matches_sweep_on_corpus():
         assert hhpb_relation(s1, s2) == swept, (unparse(p1), unparse(p2))
         assert hhpb(s1, s2).related == (empty in swept), (unparse(p1),
                                                           unparse(p2))
+
+
+def test_discriminate_decodes_no_configuration(monkeypatch, capsys):
+    # the constructions hand every structure its integer index and the games
+    # read it: discriminate on sync-2 against sync-2' decodes no
+    # configuration and indexes no explicit family (the empty structure
+    # is one, so its index is built first)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    EMPTY.index
+    encode_ccs.cache_clear()
+    hhpb.cache_clear()
+    for name in ("config", "of_family"):
+        monkeypatch.setattr(ConfIndex, name, counted(name, getattr(ConfIndex, name)))
+    assert main(["discriminate", "a.0 | 'a.0 | b.0 | 'b.0",
+                 "a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}",
+                 "--max-events", "40"]) == 1
+    assert "context: 'b.0 + c_2.0 | (b.0 + c_1.0 | [·])" in capsys.readouterr().out
+    assert calls == {}

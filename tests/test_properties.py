@@ -4,11 +4,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from corpus import _random_term
+from corpus import _random_term, law_pair
 from revccs.syntax import collapse, parse, unparse
 from revccs.confstruct import (causal_order, parallel_full, product, residual,
                                transitions, validate)
 from revccs.encoding import encode_ccs
+from revccs.equivalences import (barbed_bf_bisim_structs, forward_bisim_structs,
+                                 hhpb, hhpb_oracle)
 from revccs.rccs import (backward_steps, forward_steps, is_coherent, lift,
                          normalize, state_key)
 
@@ -96,3 +98,19 @@ def test_forward_steps_stay_coherent(seed):
     start = lift(collapse(term(seed)))
     for _, nxt in forward_steps(start):
         assert is_coherent(nxt)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seeds)
+def test_law_rewrites_keep_hhpb(seed):
+    # a term against its rewrite by HHPB-preserving laws: swapped operands
+    # number their events differently, yet the structures are isomorphic
+    p, q, laws = law_pair(seed)
+    c1, c2 = encode_ccs(p), encode_ccs(q)
+    why = (unparse(p), unparse(q), laws)
+    verdict = hhpb(c1, c2)
+    assert verdict.related, why
+    assert hhpb_oracle(c1, c2, bound=40) == verdict.related, why
+    if verdict.related:
+        assert barbed_bf_bisim_structs(c1, c2).related, why
+        assert forward_bisim_structs(c1, c2), why
