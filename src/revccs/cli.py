@@ -11,6 +11,7 @@ Exit codes: 0 for success or "related", 1 for "not related", 2 for errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -180,8 +181,7 @@ def cmd_discriminate(args) -> int:
     else:
         ctx = synthesize_context(p1, p2)
     if ctx is not None:
-        verdict = EquivalenceVerdict(False, verdict.failing_stratum,
-                                     verdict.witness, unparse(ctx))
+        verdict = dataclasses.replace(verdict, context=unparse(ctx))
     return _emit_verdict(verdict, args)
 
 

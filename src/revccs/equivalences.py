@@ -7,7 +7,8 @@ cross-checked by an explicit game-graph oracle), back-and-forth barbed
 bisimulation and plain forward bisimulation, both played on configuration
 graphs; the barbed game on reversible terms is kept as the operational
 reference.  When the history-preserving game fails, a discriminating context
-is synthesized from the losing configuration and verified in the barbed game.
+is searched for among testers read off the configurations of either
+denotation, each verified in the barbed game.
 
 The games run on each structure's integer index (``ConfStruct.index``):
 configurations are masks of event bits, a history-preserving triple is
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional
 
-from .confstruct import ConfStruct, bits
+from .confstruct import ConfStruct, bits, parallel
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
                      all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
@@ -542,44 +543,33 @@ def _candidate(labels, taken) -> Context:
 def synthesize_context(p1: Process, p2: Process) -> Optional[Context]:
     """Search for a context separating two processes in the barbed game.
 
-    The bare hole is tried first.  Then, for each configuration of either
-    denotation, a parallel tester offers the co-action of every visible
-    event in it guarded against a fresh barb, so consuming the tester leaves
-    an observable trace; refinements add one tester for an enabled extension.
-    Testers of at most ``MAX_FACTORS`` factors are tried by size, then by
-    their labels, once per multiset of labels; each is verified before it is
-    returned.
+    The bare hole is tried first.  Then each configuration of either
+    denotation gives a parallel tester: for every visible event in it, a
+    factor offering the co-action guarded against a fresh barb, so consuming
+    the tester leaves an observable trace.  Testers of 1 to ``MAX_FACTORS``
+    factors are tried once per sorted label tuple, by size, then by their
+    labels; each is verified before it is returned.
     """
-    taken = all_names(p1) | all_names(p2)
-
-    def discriminates(ctx: Context) -> bool:
-        return not barbed_bf_bisim_structs(
-            encode_ccs(instantiate(ctx, p1)),
-            encode_ccs(instantiate(ctx, p2))).related
-
-    if discriminates(HOLE):
+    s1, s2 = encode_ccs(p1), encode_ccs(p2)
+    if not barbed_bf_bisim_structs(s1, s2).related:
         return HOLE
-    candidates: set = set()
-    for struct in (encode_ccs(p1), encode_ccs(p2)):
-        index = struct.index
-        visible = {i: struct.label(e) for i, e in enumerate(index.events)
-                   if not struct.label(e).is_tau}
-        for m, ext in index.exts.items():
-            labels = tuple(sorted((visible[i] for i in bits(m) if i in visible),
-                                  key=str))
-            if labels and len(labels) <= MAX_FACTORS:
-                candidates.add(labels)
-            if len(labels) < MAX_FACTORS:
-                candidates.update(labels + (visible[i],)
-                                  for i in ext if i in visible)
-    seen: set = set()
-    for labels in sorted(candidates, key=lambda c: (len(c), tuple(map(str, c)))):
-        sig = tuple(sorted(map(str, labels)))
-        if sig not in seen:
-            seen.add(sig)
-            ctx = _candidate(labels, taken)
-            if discriminates(ctx):
-                return ctx
+    taken = all_names(p1) | all_names(p2)
+    testers: set = set()
+    for struct in (s1, s2):
+        labels = [struct.label(e) for e in struct.index.events]
+        for m in struct.index.exts:
+            tester = tuple(sorted((labels[i] for i in bits(m)
+                                   if not labels[i].is_tau), key=str))
+            if 0 < len(tester) <= MAX_FACTORS:
+                testers.add(tester)
+    for tester in sorted(testers, key=lambda c: (len(c), tuple(map(str, c)))):
+        ctx = _candidate(tester, taken)
+        # ctx[p] is structurally congruent to ctx[0] | p, so the two denote
+        # isomorphic structures: the game plays on the cached tester beside
+        # each process, and no call reads the two products again
+        t = encode_ccs(instantiate(ctx, NIL))
+        if not barbed_bf_bisim_structs(parallel(t, s1), parallel(t, s2)).related:
+            return ctx
     return None
 
 

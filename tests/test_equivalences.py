@@ -6,10 +6,11 @@ import itertools
 
 import pytest
 
-from corpus import corpus_pairs, random_terms
+from corpus import corpus_pairs, enumerated_terms, random_terms
 from revccs.cli import main
-from revccs.confstruct import EMPTY, ConfIndex, causal_order
-from revccs.syntax import collapse, instantiate, parse, parse_context, unparse
+from revccs.confstruct import EMPTY, ConfIndex, bits, causal_order
+from revccs.syntax import (HOLE, all_names, collapse, instantiate, parse,
+                           parse_context, unparse)
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          normalize, reachable_states)
@@ -20,7 +21,8 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  default_context_family, forward_bisim_structs,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
-                                 _Game, _all_triples, _isomorphisms)
+                                 MAX_FACTORS, _Game, _all_triples,
+                                 _candidate, _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -140,6 +142,73 @@ class TestSynthesis:
 
     def test_related_pair_yields_nothing(self):
         assert synthesize_context(parse("a.0"), parse("a.0")) is None
+
+    def test_instantiated_pair_left_out_of_the_cache(self):
+        p1 = parse("a.0 | 'a.0 | b.0 | 'b.0")
+        p2 = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
+        encode_ccs.cache_clear()
+        ctx = synthesize_context(p1, p2)
+        assert unparse(ctx) == "'b.0 + c_2.0 | (b.0 + c_1.0 | [·])"
+        for p in (p1, p2):
+            misses = encode_ccs.cache_info().misses
+            encode_ccs(instantiate(ctx, p))
+            assert encode_ccs.cache_info().misses > misses
+
+
+def _reference_synthesis(p1, p2):
+    """The tester search with one-label refinements added, played on the
+    instantiated pair's own denotations: each tester also grows by one label
+    per visible extension of its configuration, and a tester whose label
+    multiset was tried already is skipped."""
+    taken = all_names(p1) | all_names(p2)
+
+    def discriminates(ctx):
+        return not barbed_bf_bisim_structs(
+            encode_ccs(instantiate(ctx, p1)),
+            encode_ccs(instantiate(ctx, p2))).related
+
+    if discriminates(HOLE):
+        return HOLE
+    candidates = set()
+    for struct in (encode_ccs(p1), encode_ccs(p2)):
+        index = struct.index
+        visible = {i: struct.label(e) for i, e in enumerate(index.events)
+                   if not struct.label(e).is_tau}
+        for m, ext in index.exts.items():
+            labels = tuple(sorted((visible[i] for i in bits(m) if i in visible),
+                                  key=str))
+            if labels and len(labels) <= MAX_FACTORS:
+                candidates.add(labels)
+            if len(labels) < MAX_FACTORS:
+                candidates.update(labels + (visible[i],)
+                                  for i in ext if i in visible)
+    seen = set()
+    for labels in sorted(candidates, key=lambda c: (len(c), tuple(map(str, c)))):
+        sig = tuple(sorted(map(str, labels)))
+        if sig not in seen:
+            seen.add(sig)
+            ctx = _candidate(labels, taken)
+            if discriminates(ctx):
+                return ctx
+    return None
+
+
+def test_synthesis_matches_refining_reference():
+    # a refinement is a permutation of the sorted labels of a larger
+    # configuration, which sorts no later, and a tester beside a process
+    # denotes what the tester around it does; so the pairs the bare hole
+    # does not separate get the reference's context
+    terms = enumerated_terms() + random_terms(60, seed=7)
+    pairs = [(p1, p2) for p1, p2 in itertools.combinations(terms, 2)
+             if not hhpb(encode_ccs(p1), encode_ccs(p2)).related
+             and barbed_bf_bisim_structs(encode_ccs(p1),
+                                         encode_ccs(p2)).related]
+    assert len(pairs) == 213
+    pairs += [(parse("a.0 | b.0 | c.0 | d.0"), parse(shape)) for shape in (
+        "{a.b.0 + b.a.0} | c.0 | d.0", "{a.b.0 + b.a.0} | {c.d.0 + d.c.0}")]
+    for p1, p2 in pairs:
+        assert unparse(synthesize_context(p1, p2)) == unparse(
+            _reference_synthesis(p1, p2)), (unparse(p1), unparse(p2))
 
 
 class TestCongruence:
