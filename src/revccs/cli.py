@@ -11,7 +11,6 @@ Exit codes: 0 for success or "related", 1 for "not related", 2 for errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -40,9 +39,9 @@ def _prepare(text: str, args):
     return collapse(parse(text), par_rule=not args.no_par_collapse)
 
 
-def _encode_guarded(p, args):
+def _encode_guarded(p, args, encode=encode_ccs):
     """The denotation of ``p``, refused when it is over ``--max-events``."""
-    struct = encode_ccs(p)
+    struct = encode(p)
     if len(struct.events) > args.max_events:
         raise ValueError(
             f"denotation has {len(struct.events)} events, over the "
@@ -172,16 +171,19 @@ def cmd_discriminate(args) -> int:
                     cand = parse_context(line)
                 except syntax.ParseError as exc:
                     raise ValueError(f"--contexts line {number}: {exc}") from exc
-                related = barbed_bf_bisim_structs(
-                    _encode_guarded(syntax.instantiate(cand, p1), args),
-                    _encode_guarded(syntax.instantiate(cand, p2), args)).related
+                # encoded past the shared cache, which no later call reads it from
+                related = barbed_bf_bisim_structs(*(_encode_guarded(
+                    syntax.instantiate(cand, p), args, encode_ccs.__wrapped__)
+                    for p in (p1, p2))).related
                 if not related:
                     ctx = cand
                     break
     else:
         ctx = synthesize_context(p1, p2)
     if ctx is not None:
-        verdict = dataclasses.replace(verdict, context=unparse(ctx))
+        # a new verdict: the one given is ``hhpb``'s, which its cache keeps
+        verdict = EquivalenceVerdict(verdict.related, verdict.failing_stratum,
+                                     verdict.witness, unparse(ctx))
     return _emit_verdict(verdict, args)
 
 

@@ -9,30 +9,28 @@ across the constructions.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .syntax import Action, TAU
+from .syntax import Action, Record, TAU
 
 
 class NotAConfiguration(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PairLabel:
+class PairLabel(Record):
     """Label of a product event pairing an event of each side."""
 
-    left: Action
-    right: Action
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
 
 
-@dataclass(frozen=True)
-class Killed:
+class Killed(Record):
     """Label of product events removed by parallel composition."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "0"
@@ -285,17 +283,14 @@ class ConfStruct:
 EMPTY = ConfStruct((), (frozenset(),), {})
 
 
-@dataclass
-class Morphism:
+class Morphism(Record, frozen=False, factories={"mapping": dict}):
     """Partial event map between structures.
 
     Morphisms preserve configurations and labels and are locally injective
     on every configuration.
     """
 
-    source: ConfStruct
-    target: ConfStruct
-    mapping: dict = field(default_factory=dict)
+    __slots__ = ("source", "target", "mapping")
 
     def apply(self, x: frozenset) -> frozenset:
         return frozenset(self.mapping[e] for e in x if e in self.mapping)

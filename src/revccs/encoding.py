@@ -8,12 +8,11 @@ with the configuration reached by replaying its past.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import confstruct as cs
 from .confstruct import ConfStruct, Morphism
-from .syntax import (Hole, Nil, Par, Prefix, Process, Restrict, Sum,
+from .syntax import (Hole, Nil, Par, Prefix, Process, Record, Restrict, Sum,
                      count_holes, instantiate, is_collapsed, push_restrictions,
                      unparse, detect_auto_conflict_or_concurrency)
 from .rccs import (RTerm, _sorted_process, backward_steps, erase,
@@ -44,13 +43,10 @@ def encode_ccs(p: Process) -> ConfStruct:
     raise TypeError(f"cannot encode {p!r}")
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(Record):
     """Where a reversible term sits inside its origin's structure."""
 
-    struct: ConfStruct
-    origin: Process
-    config: frozenset
+    __slots__ = ("struct", "origin", "config")
 
     def residual(self) -> ConfStruct:
         return cs.residual(self.struct, self.config)
@@ -116,11 +112,10 @@ def encode_rccs(t: RTerm, strict: bool = True) -> Address:
 # Context projection: the partial event map from the structure of a filled
 # context onto the structure of the plugged process.
 
-@dataclass(frozen=True)
-class ContextProjection:
-    whole: ConfStruct      # denotation of the filled context
-    part: ConfStruct       # denotation of the plugged process
-    map: Morphism
+class ContextProjection(Record):
+    # the denotation of the filled context, that of the plugged process,
+    # and the map from the first onto the second
+    __slots__ = ("whole", "part", "map")
 
 
 def project(context: Process, p: Process) -> ContextProjection:
@@ -167,11 +162,9 @@ class CorrespondenceFailure(AssertionError):
     """A term transition and the structure moves at its address disagree."""
 
 
-@dataclass
-class CorrespondenceReport:
-    ok: bool = True
-    states_checked: int = 0
-    mismatches: list = field(default_factory=list)
+class CorrespondenceReport(Record, frozen=False, factories={"mismatches": list},
+                           defaults={"ok": True, "states_checked": 0}):
+    __slots__ = ("ok", "states_checked", "mismatches")
 
     def fail(self, msg: str):
         self.ok = False

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional
 
 from .confstruct import ConfStruct, bits, parallel
-from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Restrict, Sum,
-                     all_names, fresh_name, free_names, inp, instantiate,
+from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Record, Restrict,
+                     Sum, all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
 from .rccs import RTerm, lift, reachable_states
 from .encoding import encode_ccs
@@ -41,12 +40,10 @@ class BoundExceeded(RuntimeError):
 _EMPTY_TRIPLE = (0, 0, 0)
 
 
-@dataclass
-class EquivalenceVerdict:
-    related: bool
-    failing_stratum: Optional[tuple] = None   # ("F", i) or ("B", i)
-    witness: Optional[str] = None
-    context: Optional[str] = None
+class EquivalenceVerdict(Record, frozen=False, defaults={
+        "failing_stratum": None, "witness": None, "context": None}):
+    # failing_stratum: ("F", i) or ("B", i)
+    __slots__ = ("related", "failing_stratum", "witness", "context")
 
     def to_json(self) -> dict:
         direction, depth = self.failing_stratum or (None, None)
@@ -250,11 +247,11 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
 # Cardinality strata: forward layers computed from the largest configuration
 # size down, backward layers from size zero up.
 
-@dataclass
-class StratifiedRelation:
-    k: int                                      # largest left cardinality
-    forth: list = field(default_factory=list)   # forth[i]: triples of size i
-    back: list = field(default_factory=list)
+class StratifiedRelation(Record, frozen=False,
+                         factories={"forth": list, "back": list}):
+    # k: the largest left cardinality; forth[i]: the triples of size i;
+    # __dict__ holds the cached ``_covers``
+    __slots__ = ("k", "forth", "back", "__dict__")
 
     @functools.cached_property
     def _covers(self) -> tuple:
@@ -590,8 +587,7 @@ def default_context_family(p1: Process, p2: Process) -> list[Context]:
     return family
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(Record, frozen=False, factories={"entries": list}):
     """Closure of the equivalences under a context family.
 
     ``consistent`` holds when relatedness of the bare processes carries over
@@ -599,8 +595,7 @@ class CongruenceReport:
     family tried, never for all contexts.
     """
 
-    base_related: bool
-    entries: list = field(default_factory=list)  # (context, hhpb ok, barbed ok)
+    __slots__ = ("base_related", "entries")   # entries: (context, hhpb ok, barbed ok)
 
     @property
     def consistent(self) -> bool:

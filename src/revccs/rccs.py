@@ -8,12 +8,11 @@ discarded.  Backward transitions consume memory; forward transitions grow it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .syntax import (Action, Nil, NIL, Par, Prefix, Process, Restrict, Sum, TAU,
-                     all_names, free_names, fresh_name, push_restrictions,
-                     rename_free, summands, sum_of, unparse)
+from .syntax import (Action, Nil, NIL, Par, Prefix, Process, Record, Restrict,
+                     Sum, TAU, all_names, free_names, fresh_name,
+                     push_restrictions, rename_free, summands, sum_of, unparse)
 
 
 class IncoherentTerm(ValueError):
@@ -23,8 +22,9 @@ class IncoherentTerm(ValueError):
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Fork:
+class Fork(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "<>"
 
@@ -32,13 +32,10 @@ class Fork:
 FORK = Fork()
 
 
-@dataclass(frozen=True)
-class Past:
+class Past(Record):
     """Record of one executed prefix: id, action, discarded sum branches."""
 
-    ident: int
-    action: Action
-    rest: Process
+    __slots__ = ("ident", "action", "rest")
 
     def __str__(self) -> str:
         return f"<{self.ident},{self.action},{unparse(self.rest)}>"
@@ -47,29 +44,23 @@ class Past:
 Memory = tuple
 
 
-@dataclass(frozen=True)
-class Monitored:
-    memory: Memory
-    process: Process
+class Monitored(Record):
+    __slots__ = ("memory", "process")
 
     def __str__(self) -> str:
         mem = ".".join(str(e) for e in self.memory) or "{}"
         return f"{mem} |> {unparse(self.process)}"
 
 
-@dataclass(frozen=True)
-class RPar:
-    left: RTerm
-    right: RTerm
+class RPar(Record):
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return f"({self.left}) | ({self.right})"
 
 
-@dataclass(frozen=True)
-class RRestrict:
-    name: str
-    body: RTerm
+class RRestrict(Record):
+    __slots__ = ("name", "body")
 
     def __str__(self) -> str:
         return f"({self.name})({self.body})"
@@ -78,11 +69,8 @@ class RRestrict:
 RTerm = Monitored | RPar | RRestrict
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
-    ident: int
-    action: Action
-    reverse: bool = False
+class TransitionLabel(Record, defaults={"reverse": False}):
+    __slots__ = ("ident", "action", "reverse")
 
     def __str__(self) -> str:
         return f"{self.ident}:{self.action}" + ("*" if self.reverse else "")

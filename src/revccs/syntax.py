@@ -8,7 +8,6 @@ with exactly one hole.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 
@@ -21,14 +20,74 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+
+_TEMPLATE = """\
+def __init__({params}):
+    {body}
+def __eq__(self, other):
+    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+_FACTORY = object()   # marks a field left to its factory
+
+
+class Record:
+    """A value whose fields are its class's own ``__slots__``, in order.
+
+    ``__init__``, ``__eq__`` and ``__hash__`` are compiled per class from
+    ``_TEMPLATE`` with the semantics of the standard library's generated
+    classes, but without the import cost: equality within one class,
+    hashing by fields, reprs ``Name(field=value, ...)``.  Keywords give
+    trailing fields ``defaults`` or ``factories`` (called per instance);
+    ``frozen=False`` makes instances mutable and unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=True, defaults=None, factories=None):
+        defaults, factories = defaults or {}, factories or {}
+        fields = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
+        params = ["self"] + [f"{f}=_default_{f}" if f in defaults else f"{f}=_FACTORY"
+                             if f in factories else f for f in fields]
+        # each field is set through its slot, past a frozen ``__setattr__``
+        body = [f"_set_{f}(self, _default_{f}() if {f} is _FACTORY else {f})"
+                if f in factories else f"_set_{f}(self, {f})" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {f"_default_{f}": v for f, v in {**defaults, **factories}.items()}
+        namespace.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields}, _FACTORY=_FACTORY)
+        mine = "".join(f"self.{f}," for f in fields)
+        exec(_TEMPLATE.format(params=", ".join(params), body="\n    ".join(body or ["pass"]),
+                              mine=mine, theirs=mine.replace("self.", "other.")), namespace)
+        cls._fields = fields
+        cls.__init__, cls.__eq__ = namespace["__init__"], namespace["__eq__"]
+        cls.__hash__ = namespace["__hash__"] if frozen else None
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):   # copies and pickles rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Actions
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record, defaults={"channel": None}):
     """An input `a`, an output `'a`, or the silent action tau."""
 
-    kind: str                 # "in" | "out" | "tau"
-    channel: str | None = None
+    __slots__ = ("kind", "channel")   # kind: "in" | "out" | "tau"
 
     def __post_init__(self):
         if self.kind not in ("in", "out", "tau"):
@@ -65,27 +124,24 @@ def out(channel: str) -> Action:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Nil:
-    def __str__(self) -> str:
-        return unparse(self)
-
-
-@dataclass(frozen=True)
-class Prefix:
-    action: Action
-    body: "CcsTerm"
+class Nil(Record):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Prefix(Record):
+    __slots__ = ("action", "body")
+
+    def __str__(self) -> str:
+        return unparse(self)
+
+
+class Sum(Record):
     """Binary sum of guarded branches; n-ary sums are right-nested."""
 
-    left: "CcsTerm"
-    right: "CcsTerm"
+    __slots__ = ("left", "right")
 
     def __post_init__(self):
         for branch in (self.left, self.right):
@@ -96,27 +152,24 @@ class Sum:
         return unparse(self)
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "CcsTerm"
-    right: "CcsTerm"
+class Par(Record):
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True)
-class Restrict:
-    name: str
-    body: "CcsTerm"
+class Restrict(Record):
+    __slots__ = ("name", "body")
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(Record):
     """The unique hole of a context."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "[·]"
@@ -498,13 +551,10 @@ def is_collapsed(t: CcsTerm, par_rule: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Auto-concurrency / auto-conflict detection
 
-@dataclass(frozen=True)
-class LabelClash:
+class LabelClash(Record):
     """Two distinct same-labelled events enabled at the same configuration."""
 
-    configuration: frozenset
-    label: Action
-    events: tuple
+    __slots__ = ("configuration", "label", "events")
 
     def __str__(self) -> str:
         return (f"configuration of size {len(self.configuration)} enables "

@@ -10,6 +10,8 @@ import pytest
 
 import revccs
 from revccs.cli import build_parser, main
+from revccs.encoding import encode_ccs
+from revccs.syntax import collapse, instantiate, parse, parse_context
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +201,31 @@ class TestDiscriminate:
                                "--contexts", str(f))
         assert code == 1 and "context:" in out and "d.0" in out
 
+    def test_contexts_file_pair_left_out_of_the_cache(self, capsys, tmp_path):
+        # no later call reads an instantiated candidate, so the shared
+        # cache does not keep it
+        f = tmp_path / "contexts.txt"
+        f.write_text("{'b.0 + d.0} | {{'a.0 + c.0} | [·]}\n")
+        encode_ccs.cache_clear()
+        code, out, _ = run_cli(capsys, "discriminate", "a.0|b.0",
+                               "a.b.0+b.a.0", "--max-events", "12",
+                               "--contexts", str(f))
+        assert code == 1
+        assert out.splitlines()[-1] == "context: 'b.0 + d.0 | ('a.0 + c.0 | [·])"
+        ctx = parse_context(f.read_text())
+        for text in ("a.0|b.0", "a.b.0+b.a.0"):
+            misses = encode_ccs.cache_info().misses
+            encode_ccs(instantiate(ctx, collapse(parse(text))))
+            assert encode_ccs.cache_info().misses > misses
+
+    def test_context_not_left_in_the_cached_verdict(self, capsys):
+        # hhpb caches its verdicts: discriminate reports a new one
+        argv = ("a.0|b.0", "a.b.0+b.a.0", "--format", "json")
+        code, out, _ = run_cli(capsys, "discriminate", *argv)
+        assert code == 1 and json.loads(out)["context"] is not None
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 1 and json.loads(out)["context"] is None
+
     def test_contexts_file_parse_error(self, capsys, tmp_path):
         f = tmp_path / "contexts.txt"
         f.write_text("[·] |\n")
@@ -284,3 +311,13 @@ def test_output_same_in_every_process(argv):
                               env=env, capture_output=True, text=True).stdout
                for _ in range(4)}
     assert len(outputs) == 1 and outputs != {""}
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # together they cost more to import than the rest of the package
+    src = str(Path(revccs.__file__).resolve().parent.parent)
+    code = ("import sys, revccs.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout == "[]\n", result.stderr

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from corpus import _random_term, law_pair
+from corpus import _random_term, enumerated_terms, law_pair, random_terms
 from revccs.syntax import collapse, parse, unparse
 from revccs.confstruct import (causal_order, parallel_full, product, residual,
                                transitions, validate)
@@ -114,3 +114,11 @@ def test_law_rewrites_keep_hhpb(seed):
     if verdict.related:
         assert barbed_bf_bisim_structs(c1, c2).related, why
         assert forward_bisim_structs(c1, c2), why
+
+
+def test_hhpb_reflexive_and_symmetric():
+    structs = [encode_ccs(t) for t in enumerated_terms() + random_terms(40, seed=7)]
+    for i, c1 in enumerate(structs):
+        assert hhpb(c1, c1).related, i
+        for j, c2 in enumerate(structs[i + 1:], i + 1):
+            assert hhpb(c1, c2).related == hhpb(c2, c1).related, (i, j)

@@ -1,9 +1,12 @@
 """Concrete syntax, normalization and precondition checks."""
 
+import copy
+import pickle
+
 import pytest
 
-from revccs.syntax import (Hole, HOLE, Nil, NIL, Par, ParseError, Prefix,
-                           Restrict, Sum, all_names, collapse, count_holes,
+from revccs.syntax import (TAU, Action, Hole, HOLE, Nil, NIL, Par, ParseError,
+                           Prefix, Restrict, Sum, all_names, collapse, count_holes,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, instantiate, is_collapsed, out,
                            parse, parse_context, push_restrictions,
@@ -178,3 +181,89 @@ class TestHelpers:
         assert sum_of(branches) == parse("a.0 + b.0")
         assert sum_of([parse("a.0")]) == parse("a.0")
         assert sum_of([]) == NIL
+
+
+class TestValueClasses:
+    """The value classes keep the behaviour of frozen, field-ordered
+    records: reprs are embedded in error messages and hashes decide set
+    orders, so both stay exactly as they are."""
+
+    def test_reprs(self):
+        from revccs.confstruct import KILLED, PairLabel
+        from revccs.equivalences import EquivalenceVerdict
+        from revccs.rccs import TransitionLabel, lift, normalize
+        a = "Action(kind='in', channel='a')"
+        branches = (f"Sum(left=Prefix(action={a}, body=Prefix(action="
+                    "Action(kind='out', channel='b'), body=Nil())), right="
+                    "Prefix(action=Action(kind='tau', channel=None), body=Nil()))")
+        right = "Prefix(action=Action(kind='out', channel='a'), body=Nil())"
+        t = parse("(a)(a.'b.0 + tau.0) | 'a.0")
+        assert repr(inp("a")) == a
+        assert repr(TAU) == "Action(kind='tau', channel=None)"
+        assert repr(t) == f"Par(left=Restrict(name='a', body={branches}), right={right})"
+        assert repr(normalize(lift(t))) == (
+            "RPar(left=RRestrict(name='a', body=Monitored(memory=(Fork(),), "
+            f"process={branches})), right=Monitored(memory=(Fork(),), "
+            f"process={right}))")
+        assert repr(TransitionLabel(1, inp("a"))) == (
+            f"TransitionLabel(ident=1, action={a}, reverse=False)")
+        assert repr(PairLabel(inp("a"), out("b"))) == (
+            f"PairLabel(left={a}, right=Action(kind='out', channel='b'))")
+        assert repr(KILLED) == "Killed()"
+        assert repr(EquivalenceVerdict(False, ("B", 2), "w")) == (
+            "EquivalenceVerdict(related=False, failing_stratum=('B', 2), "
+            "witness='w', context=None)")
+
+    def test_equality_within_one_class(self):
+        assert Nil() == NIL and hash(Nil()) == hash(NIL)
+        assert Nil() != Hole() and hash(Nil()) == hash(Hole())
+        assert Prefix(inp("a"), NIL) == parse("a.0")
+        assert hash(Prefix(inp("a"), NIL)) == hash((inp("a"), NIL))
+        assert Par(NIL, NIL) != Sum(parse("a.0"), parse("a.0")) != Par(NIL, NIL)
+
+    def test_keywords_and_defaults(self):
+        from revccs.confstruct import EMPTY, Morphism
+        from revccs.encoding import CorrespondenceReport
+        from revccs.equivalences import EquivalenceVerdict
+        from revccs.rccs import TransitionLabel
+        assert TransitionLabel(action=TAU, ident=3) == TransitionLabel(3, TAU, False)
+        assert Action("tau") == TAU and Action(kind="in", channel="a") == inp("a")
+        verdict = EquivalenceVerdict(False, witness="w")
+        assert (verdict.related, verdict.failing_stratum, verdict.witness,
+                verdict.context) == (False, None, "w", None)
+        reports = CorrespondenceReport(), CorrespondenceReport()
+        assert (reports[0].ok, reports[0].states_checked, reports[0].mismatches) == (True, 0, [])
+        reports[0].fail("x")
+        assert reports[1].mismatches == [] and not reports[0].ok
+        assert Morphism(EMPTY, EMPTY).mapping is not Morphism(EMPTY, EMPTY).mapping
+        with pytest.raises(TypeError):
+            Prefix(inp("a"))
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^bad action kind 'x'$"):
+            Action("x")
+        with pytest.raises(ValueError, match="^visible actions need a channel, tau forbids one$"):
+            Action("in")
+        with pytest.raises(ValueError, match=r"^unguarded sum branch: Nil\(\)$"):
+            Sum(NIL, parse("a.0"))
+
+    def test_frozen_and_mutable(self):
+        from revccs.equivalences import EquivalenceVerdict
+        with pytest.raises(AttributeError, match="^cannot assign to field 'kind'$"):
+            TAU.kind = "in"
+        with pytest.raises(AttributeError):
+            parse("a.0").body = NIL
+        assert TAU.kind == "tau"
+        verdict = EquivalenceVerdict(True)
+        verdict.witness = "w"
+        assert verdict.witness == "w"
+        with pytest.raises(TypeError):
+            hash(EquivalenceVerdict(True))
+
+    def test_copies_and_pickles(self):
+        from revccs.equivalences import EquivalenceVerdict
+        for x in (parse("(a)(a.'b.0 + tau.0) | 'a.0"), TAU,
+                  EquivalenceVerdict(False, witness="w")):
+            for clone in (copy.copy(x), copy.deepcopy(x),
+                          pickle.loads(pickle.dumps(x))):
+                assert type(clone) is type(x) and clone == x
