@@ -49,41 +49,42 @@ def bits(m: int) -> list:
     return out
 
 
-class ConfIndex:
-    """A structure with its events numbered and its configurations as ints.
+_set = object.__setattr__      # past the structure's frozen ``__setattr__``
 
-    Event ``events[i]`` is bit i, in ``repr`` order (``bit`` maps back), so
-    reading a mask from its lowest bit up visits events in the order
-    ``extensions`` lists them.  ``exts`` and ``rets`` map each
-    configuration's mask to its extensions and retractions as ascending
-    tuples of bits; they iterate in the order the index was built, and
-    ``ordered()`` gives the canonical order.  ``depths`` holds each event's
-    least configuration size (None for an event in no configuration) and
-    ``max_card`` the largest configuration size.  The constructions derive
-    their index from their operands' (see ``product``, ``coproduct``,
-    ``prefix`` and ``restricted``); ``of_family`` builds one from an
-    explicit family of frozensets.  Cause masks and order sizes are
-    computed on first use.
+
+class ConfStruct:
+    """Immutable labelled configuration structure, its events numbered and
+    its configurations held as ints.
+
+    Event ``tags[i]`` is bit i, in ``repr`` order (``bit`` maps back), and
+    ``tag_labels[i]`` is its label: reading a mask from its lowest bit up
+    visits events in the order ``extensions`` lists them.  ``exts`` and
+    ``rets`` map each configuration's mask to its extensions and
+    retractions as ascending tuples of bits; they iterate in the order the
+    structure was built, and ``ordered()`` gives the canonical order.
+    ``depths`` holds each event's least configuration size (None for an
+    event in no configuration) and ``max_card`` the largest configuration
+    size.  A structure given an explicit family of frozensets numbers it on
+    construction; the constructions derive the structures they build from
+    their operands' (see ``product``, ``coproduct``, ``prefix`` and
+    ``restricted``), and decode the family ``configs`` only when it is
+    read.  Cause masks and order sizes are computed on first use.  Equality
+    and hashing read the numbering: equal structures number events alike.
     """
 
-    __slots__ = ("events", "exts", "rets", "depths", "max_card", "_bit",
-                 "_causes", "_sizes")
+    __slots__ = ("tags", "tag_labels", "exts", "rets", "depths", "max_card",
+                 "_bit", "_events", "_configs", "_hash", "_causes", "_sizes")
 
-    def __init__(self, events: tuple, exts: dict, rets: dict, depths: tuple,
-                 max_card: int, bit: dict | None = None):
-        self.events, self.exts, self.rets = events, exts, rets
-        self.depths, self.max_card, self._bit = depths, max_card, bit
-        self._causes: dict = {}
-        self._sizes: dict = {}
-
-    @classmethod
-    def of_family(cls, events: Iterable, configs: Iterable) -> "ConfIndex":
-        """The index of an explicit family of frozensets over ``events``."""
-        events = tuple(sorted(events, key=repr))
-        bit = {e: i for i, e in enumerate(events)}
-        exts = {sum(1 << bit[e] for e in x): [] for x in configs}
+    def __init__(self, events: Iterable, configs: Iterable, labels: dict):
+        events = frozenset(events)
+        missing = events - set(labels)
+        if missing:
+            raise ValueError(f"unlabelled events: {missing!r}")
+        tags = tuple(sorted(events, key=repr))
+        bit = {e: i for i, e in enumerate(tags)}
+        exts = {sum(1 << bit[e] for e in set(x)): [] for x in configs}
         rets = {m: [] for m in exts}
-        depths = [None] * len(events)
+        depths = [None] * len(tags)
         for m in exts:
             size = m.bit_count()
             for i in bits(m):
@@ -95,24 +96,96 @@ class ConfIndex:
         for table in (exts, rets):
             for m, found in table.items():
                 table[m] = tuple(sorted(found))
-        return cls(events, exts, rets, tuple(depths),
-                   max((m.bit_count() for m in exts), default=0), bit)
+        self._fill(tags, tuple(labels[e] for e in tags), exts, rets, tuple(depths),
+                   max(map(int.bit_count, exts), default=0), bit, events)
+
+    def _fill(self, tags, tag_labels, exts, rets, depths, max_card, bit=None,
+              events=None):
+        # in slot order; the family, the hash and the memos start unset
+        for name, value in zip(self.__slots__, (tags, tag_labels, exts, rets, depths,
+                                                max_card, bit, events, None, None, {}, {})):
+            _set(self, name, value)
+
+    @classmethod
+    def _built(cls, tags: tuple, tag_labels: tuple, exts: dict, rets: dict,
+               depths: tuple, max_card: int) -> "ConfStruct":
+        """The structure a construction derived, its fields given."""
+        c = object.__new__(cls)
+        c._fill(tags, tag_labels, exts, rets, depths, max_card)
+        return c
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConfStruct is immutable")
 
     @property
     def bit(self) -> dict:
         bit = self._bit
         if bit is None:
-            bit = self._bit = {e: i for i, e in enumerate(self.events)}
+            bit = {e: i for i, e in enumerate(self.tags)}
+            _set(self, "_bit", bit)
         return bit
 
-    def restricted(self, keep: int) -> "ConfIndex":
-        """The index of the configurations inside the event mask ``keep``,
-        its events renumbered in order.  Depths are read off retractions:
-        a least configuration holding an event retracts only that event, on
-        a family whose configurations are all reached from the empty one by
+    @property
+    def events(self) -> frozenset:
+        events = self._events
+        if events is None:
+            events = frozenset(self.tags)
+            _set(self, "_events", events)
+        return events
+
+    @property
+    def configs(self) -> frozenset:
+        configs = self._configs
+        if configs is None:
+            configs = frozenset(map(self.config, self.exts))
+            _set(self, "_configs", configs)
+        return configs
+
+    def label(self, e) -> Action:
+        return self.tag_labels[self.bit[e]]
+
+    @property
+    def labels(self) -> dict:
+        return dict(zip(self.tags, self.tag_labels))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConfStruct):
+            return NotImplemented
+        return (self.tags == other.tags and self.tag_labels == other.tag_labels
+                and self.exts.keys() == other.exts.keys())
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.tags, frozenset(self.exts), self.tag_labels))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        return f"ConfStruct({len(self.tags)} events, {len(self.exts)} configs)"
+
+    def extensions(self, x: frozenset) -> tuple:
+        """Events e with x ∪ {e} a configuration, for a configuration x,
+        ordered by ``repr`` so that everything iterating them runs the same
+        way in every process."""
+        return self.decode(self.exts[self.mask_of(x)])
+
+    def retractions(self, x: frozenset) -> tuple:
+        """Events e in the configuration x with x \\ {e} a configuration,
+        ordered by ``repr``."""
+        return self.decode(self.rets[self.mask_of(x)])
+
+    def restricted(self, keep: int) -> "ConfStruct":
+        """The structure restricted to the events of the mask ``keep``, its
+        events renumbered in order.  Depths are read off retractions: a
+        least configuration holding an event retracts only that event, on a
+        family whose configurations are all reached from the empty one by
         single events (as a restriction's are when its operand's are)."""
-        drop = [i for i in reversed(range(len(self.events))) if not keep >> i & 1]
-        new = [(keep & (1 << i) - 1).bit_count() for i in range(len(self.events))]
+        n = len(self.tags)
+        if keep == (1 << n) - 1:
+            return self
+        drop = [i for i in reversed(range(n)) if not keep >> i & 1]
+        new = [(keep & (1 << i) - 1).bit_count() for i in range(n)]
         exts, rets = {}, {}
         depths = [None] * keep.bit_count()
         for m, ext in self.exts.items():
@@ -127,9 +200,10 @@ class ConfIndex:
             for b in back:
                 if depths[b] is None or size < depths[b]:
                     depths[b] = size
-        return ConfIndex(tuple(e for i, e in enumerate(self.events) if keep >> i & 1),
-                         exts, rets, tuple(depths),
-                         max(map(int.bit_count, exts), default=0))
+        kept = [i for i in range(n) if keep >> i & 1]
+        return ConfStruct._built(
+            tuple(self.tags[i] for i in kept), tuple(self.tag_labels[i] for i in kept),
+            exts, rets, tuple(depths), max(map(int.bit_count, exts), default=0))
 
     def mask_of(self, x: frozenset) -> int:
         """The mask of the configuration ``x``."""
@@ -141,11 +215,11 @@ class ConfIndex:
 
     def config(self, m: int) -> frozenset:
         """The configuration with mask ``m``."""
-        return frozenset(self.events[i] for i in bits(m))
+        return frozenset(self.tags[i] for i in bits(m))
 
     def decode(self, positions) -> tuple:
         """The events at the given bit positions."""
-        return tuple(self.events[i] for i in positions)
+        return tuple(self.tags[i] for i in positions)
 
     def ordered(self) -> list:
         """The configuration masks by size, then by their events' ``repr``
@@ -185,99 +259,6 @@ class ConfIndex:
             size = self._sizes[y] = sum(self.causes(y, e).bit_count()
                                         for e in bits(y))
         return size
-
-
-class ConfStruct:
-    """Immutable labelled configuration structure.
-
-    Data derived from the structure (extensions, retractions, depths,
-    maximal size and causal order per configuration) comes from one
-    integer index, ``index``.  A structure given an explicit family of
-    frozensets builds its index from them on first use; the constructions
-    hand each structure they build its index, and decode its family
-    ``configs`` only when it is read.  Equality and hashing read the index:
-    events are numbered in ``repr`` order, so equal structures number them
-    alike.
-    """
-
-    __slots__ = ("events", "_configs", "_labels", "_hash", "_index")
-
-    def __init__(self, events: Iterable, configs: Iterable, labels: dict):
-        object.__setattr__(self, "events", frozenset(events))
-        object.__setattr__(self, "_configs", frozenset(frozenset(x) for x in configs))
-        object.__setattr__(self, "_labels", dict(labels))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_index", None)
-        missing = self.events - set(self._labels)
-        if missing:
-            raise ValueError(f"unlabelled events: {missing!r}")
-
-    @classmethod
-    def _indexed(cls, index: ConfIndex, labels: dict) -> "ConfStruct":
-        """The structure of ``index``, its events labelled by ``labels``."""
-        c = object.__new__(cls)
-        for name, value in (("events", frozenset(index.events)), ("_configs", None),
-                            ("_labels", labels), ("_hash", None), ("_index", index)):
-            object.__setattr__(c, name, value)
-        return c
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConfStruct is immutable")
-
-    @property
-    def index(self) -> ConfIndex:
-        index = self._index
-        if index is None:
-            index = ConfIndex.of_family(self.events, self._configs)
-            object.__setattr__(self, "_index", index)
-        return index
-
-    @property
-    def configs(self) -> frozenset:
-        configs = self._configs
-        if configs is None:
-            index = self._index
-            configs = frozenset(map(index.config, index.exts))
-            object.__setattr__(self, "_configs", configs)
-        return configs
-
-    def label(self, e) -> Action:
-        return self._labels[e]
-
-    @property
-    def labels(self) -> dict:
-        return dict(self._labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfStruct):
-            return NotImplemented
-        return (self.events == other.events and self._labels == other._labels
-                and self.index.exts.keys() == other.index.exts.keys())
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            index = self.index
-            h = hash((self.events, frozenset(index.exts),
-                      tuple(map(self._labels.__getitem__, index.events))))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        return f"ConfStruct({len(self.events)} events, {len(self.index.exts)} configs)"
-
-    def extensions(self, x: frozenset) -> tuple:
-        """Events e with x ∪ {e} a configuration, for a configuration x,
-        ordered by ``repr`` so that everything iterating them runs the same
-        way in every process."""
-        index = self.index
-        return index.decode(index.exts[index.mask_of(x)])
-
-    def retractions(self, x: frozenset) -> tuple:
-        """Events e in the configuration x with x \\ {e} a configuration,
-        ordered by ``repr``."""
-        index = self.index
-        return index.decode(index.rets[index.mask_of(x)])
 
 
 EMPTY = ConfStruct((), (frozenset(),), {})
@@ -334,53 +315,50 @@ class ProductResult(NamedTuple):
 def validate(c: ConfStruct) -> list[tuple[str, object]]:
     """Check the axioms; each violation names the axiom and a witness."""
     out: list[tuple[str, object]] = []
-    index = c.index
-    if index.exts and 0 not in index.exts:
+    if c.exts and 0 not in c.exts:
         out.append(("empty-configuration", None))
-    config_list = index.ordered()
+    config_list = c.ordered()
     for m in config_list:
         # finiteness: a finite z ∈ C with e ∈ z ⊆ x; x itself witnesses it
         # for finite families, so only coincidence-freeness can fail here:
         # e1 and e2 coincide iff each lies below the other, that is iff every
         # sub-configuration of x holds both or neither.  Bit k of held[i]
         # marks the k-th sub-configuration holding event i: the order is the
-        # definitional one, since ConfIndex.causes assumes stability.
+        # definitional one, since ConfStruct.causes assumes stability.
         held = dict.fromkeys(bits(m), 0)
         for k, z in enumerate(z for z in config_list if not z & ~m):
             for i in bits(z):
                 held[i] |= 1 << k
         if len(set(held.values())) < len(held):
-            x = index.config(m)
-            out.extend(("coincidence-freeness", (x, index.events[i], index.events[j]))
+            x = c.config(m)
+            out.extend(("coincidence-freeness", (x, c.tags[i], c.tags[j]))
                        for i in held for j in held
                        if i < j and held[i] == held[j])
     # every upper bound lies below a configuration with no extension (a
     # maximal one in particular); bit i of above[x] marks the i-th of those
     # that contains x, so x and y are bounded iff above[x] & above[y]
-    tops = [z for z, ext in index.exts.items() if not ext]
+    tops = [z for z, ext in c.exts.items() if not ext]
     above = {x: sum(1 << i for i, z in enumerate(tops) if not x & ~z)
-             for x in index.exts}
+             for x in c.exts}
     for i, x in enumerate(config_list):
         for y in config_list[i:]:
-            if x | y in index.exts:
-                if x & y not in index.exts:
-                    out.append(("stability", (index.config(x), index.config(y))))
+            if x | y in c.exts:
+                if x & y not in c.exts:
+                    out.append(("stability", (c.config(x), c.config(y))))
             elif above[x] & above[y]:
                 out.append(("finite-completeness",
-                            (index.config(x), index.config(y))))
+                            (c.config(x), c.config(y))))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Constructions
 
-def _rooted(c: ConfStruct) -> ConfIndex:
-    """The index of an operand, whose configurations the constructions grow
-    from the empty one."""
-    index = c.index
-    if 0 not in index.exts:
+def _rooted(*operands: ConfStruct) -> None:
+    """Check that each operand holds the empty configuration, which the
+    constructions grow configurations from."""
+    if any(0 not in c.exts for c in operands):
         raise NotAConfiguration("an operand lacks the empty configuration")
-    return index
 
 
 def product(c1: ConfStruct, c2: ConfStruct,
@@ -389,7 +367,7 @@ def product(c1: ConfStruct, c2: ConfStruct,
     (see ``_product`` for the construction)."""
     struct = _product(c1, c2, pair_label)
     return ProductResult(struct, *(
-        Morphism(struct, c, {e: e[i] for e in struct.index.events
+        Morphism(struct, c, {e: e[i] for e in struct.tags
                              if e[i] is not None})
         for i, c in ((1, c1), (2, c2))))
 
@@ -405,42 +383,42 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
     configurations its components extend, then add it.  A configuration is
     a mask grown from the empty one with its projection masks m1 and m2:
     its extensions are e1 alone, e2 alone and their pair, for e1 in
-    ``c1.index.exts[m1]`` and e2 in ``c2.index.exts[m2]``, so growth
-    records extensions and retractions as it goes.  An event's depth is the
+    ``c1.exts[m1]`` and e2 in ``c2.exts[m2]``, so growth records
+    extensions and retractions as it goes.  An event's depth is the
     least size of a configuration first reached by adding it: a least
     configuration holding an event retracts only that event.
     """
-    i1, i2 = _rooted(c1), _rooted(c2)
-    live1 = [a for a, d in enumerate(i1.depths) if d is not None]
-    live2 = [b for b, d in enumerate(i2.depths) if d is not None]
-    found = ([(a, None, c1.label(i1.events[a])) for a in live1]
-             + [(None, b, c2.label(i2.events[b])) for b in live2])
+    _rooted(c1, c2)
+    labels1, labels2 = c1.tag_labels, c2.tag_labels
+    live1 = [a for a, d in enumerate(c1.depths) if d is not None]
+    live2 = [b for b, d in enumerate(c2.depths) if d is not None]
+    found = ([(a, None, labels1[a]) for a in live1]
+             + [(None, b, labels2[b]) for b in live2])
     by_label2: dict = {}
     for b in live2:
-        by_label2.setdefault(c2.label(i2.events[b]), []).append(b)
+        by_label2.setdefault(labels2[b], []).append(b)
     for a in live1:
         for label2, right in by_label2.items():
-            label = pair_label(c1.label(i1.events[a]), label2)
+            label = pair_label(labels1[a], label2)
             if label is not KILLED:
                 found.extend((a, b, label) for b in right)
     # sorted by each tag's repr, spelled out from its components' reprs
-    reprs1 = [repr(e) for e in i1.events] + ["None"]
-    reprs2 = [repr(e) for e in i2.events] + ["None"]
+    reprs1 = [repr(e) for e in c1.tags] + ["None"]
+    reprs2 = [repr(e) for e in c2.tags] + ["None"]
     found.sort(key=lambda t: f"('x', {reprs1[-1 if t[0] is None else t[0]]}, "
                              f"{reprs2[-1 if t[1] is None else t[1]]})")
-    tags = [("x", None if a is None else i1.events[a],
-             None if b is None else i2.events[b]) for a, b, _ in found]
-    labels = {tag: label for tag, (_, _, label) in zip(tags, found)}
+    tags = tuple(("x", None if a is None else c1.tags[a],
+                  None if b is None else c2.tags[b]) for a, b, _ in found)
     number = {(a, b): k for k, (a, b, _) in enumerate(found)}
     proj1 = [0 if a is None else 1 << a for a, _, _ in found]
     proj2 = [0 if b is None else 1 << b for _, b, _ in found]
-    pairs: list = [{} for _ in i1.events]      # e1 bit -> e2 bit -> product bit
+    pairs: list = [{} for _ in c1.tags]        # e1 bit -> e2 bit -> product bit
     for (a, b), k in number.items():
         if a is not None and b is not None:
             pairs[a][b] = k
     # the moves of each side alone, from each of its configurations
-    moves1 = {m1: [number[a, None] for a in ext] for m1, ext in i1.exts.items()}
-    moves2 = {m2: [number[None, b] for b in ext] for m2, ext in i2.exts.items()}
+    moves1 = {m1: [number[a, None] for a in ext] for m1, ext in c1.exts.items()}
+    moves2 = {m2: [number[None, b] for b in ext] for m2, ext in c2.exts.items()}
     paired = any(pairs)
     exts, rets = {}, {0: []}
     depths: list = [None] * len(tags)
@@ -449,8 +427,8 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
         m, m1, m2 = frontier.pop()
         step = moves1[m1] + moves2[m2]
         if paired:
-            ext2 = i2.exts[m2]
-            for a in i1.exts[m1]:
+            ext2 = c2.exts[m2]
+            for a in c1.exts[m1]:
                 row = pairs[a]
                 if row:
                     step.extend(row[b] for b in ext2 if b in row)
@@ -467,53 +445,39 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
                 frontier.append((n, m1 | proj1[k], m2 | proj2[k]))
             else:
                 back.append(k)
-    index = ConfIndex(tuple(tags), exts,
-                      {n: tuple(sorted(back)) for n, back in rets.items()},
-                      tuple(depths), max(map(int.bit_count, exts)))
-    if None in depths:                  # live events no growth reached
-        index = index.restricted(sum(1 << k for k, d in enumerate(depths)
-                                     if d is not None))
-        labels = {e: labels[e] for e in index.events}
-    return ConfStruct._indexed(index, labels)
+    # restricted to the live events growth reached, if it missed any
+    return ConfStruct._built(
+        tags, tuple(label for _, _, label in found), exts,
+        {n: tuple(sorted(back)) for n, back in rets.items()}, tuple(depths),
+        max(map(int.bit_count, exts))).restricted(
+            sum(1 << k for k, d in enumerate(depths) if d is not None))
 
 
 def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
     """Disjoint union: every non-empty configuration comes from one side.
     Side 1's bits come first and side 2's after them, shifted: tags (1, e)
     sort before tags (2, e), and within a side as their events do."""
-    i1, i2 = _rooted(c1), _rooted(c2)
-    n1 = len(i1.events)
+    _rooted(c1, c2)
+    n1 = len(c1.tags)
 
     def shifted(found):
         return tuple(b + n1 for b in found)
 
-    exts, rets = dict(i1.exts), dict(i1.rets)
-    exts[0] += shifted(i2.exts[0])
-    for m, ext in i2.exts.items():
+    exts, rets = dict(c1.exts), dict(c1.rets)
+    exts[0] += shifted(c2.exts[0])
+    for m, ext in c2.exts.items():
         if m:
             exts[m << n1] = shifted(ext)
-            rets[m << n1] = shifted(i2.rets[m])
-    labels = {(1, e): c1.label(e) for e in c1.events}
-    labels.update({(2, e): c2.label(e) for e in c2.events})
-    return ConfStruct._indexed(ConfIndex(
-        tuple((1, e) for e in i1.events) + tuple((2, e) for e in i2.events),
-        exts, rets, i1.depths + i2.depths, max(i1.max_card, i2.max_card)),
-        labels)
-
-
-def _restricted(c: ConfStruct, keep: int) -> ConfStruct:
-    """``c`` restricted to the events of the mask ``keep``."""
-    index = c.index
-    if keep == (1 << len(index.events)) - 1:
-        return c
-    index = index.restricted(keep)
-    return ConfStruct._indexed(index, {e: c.label(e) for e in index.events})
+            rets[m << n1] = shifted(c2.rets[m])
+    return ConfStruct._built(
+        tuple((1, e) for e in c1.tags) + tuple((2, e) for e in c2.tags),
+        c1.tag_labels + c2.tag_labels, exts, rets, c1.depths + c2.depths,
+        max(c1.max_card, c2.max_card))
 
 
 def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
     keep = frozenset(keep)
-    return _restricted(c, sum(1 << i for i, e in enumerate(c.index.events)
-                              if e in keep))
+    return c.restricted(sum(1 << i for i, e in enumerate(c.tags) if e in keep))
 
 
 def _label_mentions(label, name: str) -> bool:
@@ -524,39 +488,39 @@ def _label_mentions(label, name: str) -> bool:
 
 def restrict_name(c: ConfStruct, name: str) -> ConfStruct:
     """Drop every event whose visible label mentions ``name``."""
-    return _restricted(c, sum(1 << i for i, e in enumerate(c.index.events)
-                              if not _label_mentions(c.label(e), name)))
+    return c.restricted(sum(1 << i for i, label in enumerate(c.tag_labels)
+                            if not _label_mentions(label, name)))
 
 
 def prefix(action: Action, c: ConfStruct) -> ConfStruct:
     """One fresh event below everything else: its bit goes in at its
     ``repr`` rank, and every configuration but the empty one holds it."""
-    index = _rooted(c)
+    _rooted(c)
     n = 0
     while ("pre", n) in c.events:
         n += 1
     fresh = ("pre", n)
-    r = bisect.bisect(index.events, repr(fresh), key=repr)
+    r = bisect.bisect(c.tags, repr(fresh), key=repr)
     low, top = (1 << r) - 1, 1 << r
 
     def shifted(found):
         return tuple(b + (b >= r) for b in found)
 
     exts, rets = {0: (r,)}, {0: ()}
-    for m, ext in index.exts.items():
+    for m, ext in c.exts.items():
         k = m >> r << r + 1 | m & low | top
         exts[k] = shifted(ext)
-        rets[k] = shifted(index.rets[m]) if m else (r,)
-    depths = tuple(None if d is None else d + 1 for d in index.depths)
-    labels = c.labels
-    labels[fresh] = action
-    return ConfStruct._indexed(ConfIndex(
-        index.events[:r] + (fresh,) + index.events[r:], exts, rets,
-        depths[:r] + (1,) + depths[r:], index.max_card + 1), labels)
+        rets[k] = shifted(c.rets[m]) if m else (r,)
+    depths = tuple(None if d is None else d + 1 for d in c.depths)
+    return ConfStruct._built(
+        c.tags[:r] + (fresh,) + c.tags[r:],
+        c.tag_labels[:r] + (action,) + c.tag_labels[r:], exts, rets,
+        depths[:r] + (1,) + depths[r:], c.max_card + 1)
 
 
 def relabel(c: ConfStruct, f: Callable) -> ConfStruct:
-    return ConfStruct._indexed(c.index, {e: f(c.label(e)) for e in c.events})
+    return ConfStruct._built(c.tags, tuple(map(f, c.tag_labels)), c.exts, c.rets,
+                             c.depths, c.max_card)
 
 
 def _sync_label(label):
@@ -588,19 +552,17 @@ def parallel(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
 
 def residual(c: ConfStruct, x: frozenset) -> ConfStruct:
     """The structure of the futures of configuration ``x``."""
-    index = c.index
-    m = index.mask_of(frozenset(x))     # NotAConfiguration unless it is one
-    configs = [index.config(y ^ m) for y in index.exts if y & m == m]
+    m = c.mask_of(frozenset(x))         # NotAConfiguration unless it is one
+    configs = [c.config(y ^ m) for y in c.exts if y & m == m]
     events = set().union(*configs)
     return ConfStruct(events, configs, {e: c.label(e) for e in events})
 
 
 def causal_order(c: ConfStruct, x: frozenset) -> frozenset:
     """The happens-before relation on ``x`` as a set of (cause, effect) pairs."""
-    index = c.index
-    y = index.mask_of(frozenset(x))
-    return frozenset((index.events[d], index.events[e]) for e in bits(y)
-                     for d in bits(index.causes(y, e) | 1 << e))
+    y = c.mask_of(frozenset(x))
+    return frozenset((c.tags[d], c.tags[e]) for e in bits(y)
+                     for d in bits(c.causes(y, e) | 1 << e))
 
 
 def strictly_below(order: frozenset, e1, e2) -> bool:
@@ -617,8 +579,7 @@ def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
 
 def depth(c: ConfStruct, e) -> int:
     """Smallest cardinality of a configuration containing ``e``."""
-    index = c.index
-    found = index.depths[index.bit[e]]
+    found = c.depths[c.bit[e]]
     if found is None:
         raise ValueError(f"{e!r} is in no configuration")
     return found
@@ -633,8 +594,7 @@ def prune(c: ConfStruct) -> ConfStruct:
     Restriction can leave events whose every configuration died with a
     removed cause; they carry no behaviour, and comparisons ignore them.
     """
-    return _restricted(c, sum(1 << i for i, d in enumerate(c.index.depths)
-                              if d is not None))
+    return c.restricted(sum(1 << i for i, d in enumerate(c.depths) if d is not None))
 
 
 def embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
@@ -644,7 +604,7 @@ def embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
     """
     c1, c2 = prune(c1), prune(c2)
     if (len(c1.events) > len(c2.events)
-            or len(c1.index.exts) > len(c2.index.exts)):
+            or len(c1.exts) > len(c2.exts)):
         return None
     return _embed_search(c1, c2, require_onto=False)
 
@@ -656,7 +616,7 @@ def isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:
     """
     c1, c2 = prune(c1), prune(c2)
     if (len(c1.events) != len(c2.events)
-            or len(c1.index.exts) != len(c2.index.exts)):
+            or len(c1.exts) != len(c2.exts)):
         return False
     return _embed_search(c1, c2, require_onto=True) is not None
 
@@ -720,17 +680,16 @@ def canonical_event_ids(c: ConfStruct) -> dict:
 
     Dead events (in no configuration, as restriction can leave) come last.
     """
-    index, dead = c.index, len(c.events) + 1
-    order = sorted(range(len(index.events)), key=lambda i: (
-        index.depths[i] or dead, str(c.label(index.events[i])),
-        repr(index.events[i])))
-    return {index.events[i]: f"e{k}" for k, i in enumerate(order)}
+    tags, dead = c.tags, len(c.tags) + 1
+    order = sorted(range(len(tags)), key=lambda i: (
+        c.depths[i] or dead, str(c.tag_labels[i]), repr(tags[i])))
+    return {tags[i]: f"e{k}" for k, i in enumerate(order)}
 
 
 def _named_configs(c: ConfStruct, ids: dict) -> list:
     """(mask, sorted event ids) per configuration, by size, then by ids."""
-    names = [ids[e] for e in c.index.events]
-    return sorted(((m, sorted(names[i] for i in bits(m))) for m in c.index.exts),
+    names = [ids[e] for e in c.tags]
+    return sorted(((m, sorted(names[i] for i in bits(m))) for m in c.exts),
                   key=lambda named: (len(named[1]), named[1]))
 
 
@@ -759,15 +718,15 @@ def from_json(data: dict) -> ConfStruct:
 
 def to_dot(c: ConfStruct) -> str:
     """Hasse diagram of the configuration family, covering edges labelled."""
-    index, named = c.index, _named_configs(c, canonical_event_ids(c))
+    named = _named_configs(c, canonical_event_ids(c))
     node = {m: "c_" + "_".join(xs) if xs else "c_empty" for m, xs in named}
     lines = ["digraph confstruct {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for m, xs in named:
         label = "{" + ",".join(xs) + "}" if xs else "∅"
         lines.append(f'  {node[m]} [label="{label}"];')
     for m, _ in named:
-        for e in index.exts[m]:
+        for e in c.exts[m]:
             lines.append(f'  {node[m]} -> {node[m | 1 << e]} '
-                         f'[label="{c.label(index.events[e])}"];')
+                         f'[label="{c.tag_labels[e]}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -10,7 +10,7 @@ reference.  When the history-preserving game fails, a discriminating context
 is searched for among testers read off the configurations of either
 denotation, each verified in the barbed game.
 
-The games run on each structure's integer index (``ConfStruct.index``):
+The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is
 (m1, m2, f) with the bijection f packed into one slot per left event, and
 the bisimulation games refine dense int graphs.  Only the public results
@@ -53,32 +53,31 @@ class EquivalenceVerdict(Record, frozen=False, defaults={
 
 
 # ---------------------------------------------------------------------------
-# Triples (m1, m2, f) over the two structures' indices: m1 and m2 are
+# Triples (m1, m2, f) over the two structures' event bits: m1 and m2 are
 # configurations, and f a label- and order-preserving bijection m1 -> m2
 # packed into one slot per left event, holding one plus its image's bit
 
 class _Game:
-    """The two structures one decision compares, their indices, the slot
-    width of a packed bijection, and for each left event the mask of the
-    right events with its label."""
+    """The two structures one decision compares, the slot width of a packed
+    bijection, and for each left event the mask of the right events with
+    its label."""
 
-    __slots__ = ("c1", "c2", "i1", "i2", "width", "slot", "match")
+    __slots__ = ("c1", "c2", "width", "slot", "match")
 
     def __init__(self, c1: ConfStruct, c2: ConfStruct):
         self.c1, self.c2 = c1, c2
-        self.i1, self.i2 = c1.index, c2.index
-        self.width = len(self.i2.events).bit_length()
+        self.width = len(c2.tags).bit_length()
         self.slot = (1 << self.width) - 1
-        self.match = [sum(1 << b for b, e2 in enumerate(self.i2.events)
-                          if c1.label(e1) == c2.label(e2))
-                      for e1 in self.i1.events]
+        self.match = [sum(1 << b for b, label2 in enumerate(c2.tag_labels)
+                          if label1 == label2)
+                      for label1 in c1.tag_labels]
 
     def decode(self, triple) -> tuple:
         """The triple as (left configuration, right one, frozen bijection)."""
         m1, m2, f = triple
-        events1, events2 = self.i1.events, self.i2.events
-        return (self.i1.config(m1), self.i2.config(m2), frozenset(
-            (events1[a], events2[(f >> a * self.width & self.slot) - 1])
+        tags1, tags2 = self.c1.tags, self.c2.tags
+        return (self.c1.config(m1), self.c2.config(m2), frozenset(
+            (tags1[a], tags2[(f >> a * self.width & self.slot) - 1])
             for a in bits(m1)))
 
 
@@ -94,8 +93,8 @@ def _all_triples(g: _Game) -> set:
     m1, hence a configuration whose causal order is that of m1 restricted to
     it, so the chain's pull-back grows the triple one matched pair at a time.
     """
-    exts1, exts2 = g.i1.exts, g.i2.exts
-    causes1, causes2 = g.i1.causes, g.i2.causes
+    exts1, exts2 = g.c1.exts, g.c2.exts
+    causes1, causes2 = g.c1.causes, g.c2.causes
     width, slot, match = g.width, g.slot, g.match
     triples = {_EMPTY_TRIPLE}
     frontier = [_EMPTY_TRIPLE]
@@ -123,13 +122,13 @@ def _isomorphisms(g: _Game, triples):
     A preserving bijection maps the left order's pairs one-to-one into the
     right order's, so it reflects the order iff the two have equal size.
     """
-    size1, size2 = g.i1.order_size, g.i2.order_size
+    size1, size2 = g.c1.order_size, g.c2.order_size
     return (t for t in triples if size1(t[0]) == size2(t[1]))
 
 
 def _forth_ok(triple, g: _Game, reference) -> Optional[str]:
     m1, m2, f = triple
-    ext1, ext2 = g.i1.exts[m1], g.i2.exts[m2]
+    ext1, ext2 = g.c1.exts[m1], g.c2.exts[m2]
     width, match = g.width, g.match
     for e1 in ext1:
         y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
@@ -138,7 +137,7 @@ def _forth_ok(triple, g: _Game, reference) -> Optional[str]:
                                   f | (e2 + 1) << shift) in reference:
                 break
         else:
-            return f"left extension {g.c1.label(g.i1.events[e1])} unanswered"
+            return f"left extension {g.c1.tag_labels[e1]} unanswered"
     for e2 in ext2:
         y2 = m2 | 1 << e2
         for e1 in ext1:
@@ -146,7 +145,7 @@ def _forth_ok(triple, g: _Game, reference) -> Optional[str]:
                                         f | (e2 + 1) << e1 * width) in reference:
                 break
         else:
-            return f"right extension {g.c2.label(g.i2.events[e2])} unanswered"
+            return f"right extension {g.c2.tag_labels[e2]} unanswered"
     return None
 
 
@@ -156,15 +155,15 @@ def _back_ok(triple, g: _Game, reference) -> Optional[str]:
     m1, m2, f = triple
     width, slot = g.width, g.slot
     images = 0
-    for e1 in g.i1.rets[m1]:
+    for e1 in g.c1.rets[m1]:
         shift = e1 * width
         e2 = (f >> shift & slot) - 1
         images |= 1 << e2
         if (m1 ^ 1 << e1, m2 ^ 1 << e2, f & ~(slot << shift)) not in reference:
-            return f"left retraction {g.c1.label(g.i1.events[e1])} unanswered"
-    for e2 in g.i2.rets[m2]:
+            return f"left retraction {g.c1.tag_labels[e1]} unanswered"
+    for e2 in g.c2.rets[m2]:
         if not images >> e2 & 1:
-            return f"right retraction {g.c2.label(g.i2.events[e2])} unanswered"
+            return f"right retraction {g.c2.tag_labels[e2]} unanswered"
     return None
 
 
@@ -214,7 +213,7 @@ def _hhpb_gfp(g: _Game, triples) -> list:
     backward layers then agree, so their union answers every challenge, and
     no pass removes a triple of a bisimulation.  The empty layer above the
     largest removes the top triples that still have an extension."""
-    layers = _by_size(_isomorphisms(g, triples), g.i1.max_card + 1)
+    layers = _by_size(_isomorphisms(g, triples), g.c1.max_card + 1)
     while True:
         forth, back = _strata(g, layers)
         if sum(map(len, forth)) == sum(map(len, back)):
@@ -236,7 +235,7 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     layers = _hhpb_gfp(g, triples)
     if _EMPTY_TRIPLE in layers[0]:
         return EquivalenceVerdict(True)
-    stratum, witness = _diagnose(g, _stratify(g, triples))
+    stratum, witness = _diagnose(g, *_strata(g, _by_size(triples, c1.max_card)))
     # the empty triple has no retractions: had all its forward challenges
     # been answered, the relation would not be maximal
     return EquivalenceVerdict(
@@ -249,19 +248,13 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
 
 class StratifiedRelation(Record, frozen=False,
                          factories={"forth": list, "back": list}):
-    # k: the largest left cardinality; forth[i]: the triples of size i;
-    # __dict__ holds the cached ``_covers``
-    __slots__ = ("k", "forth", "back", "__dict__")
-
-    @functools.cached_property
-    def _covers(self) -> tuple:
-        """Per direction and layer, the left configurations it covers."""
-        return tuple([{t[0] for t in layer} for layer in layers]
-                     for layers in (self.forth, self.back))
+    # k: the largest left cardinality; forth[i]: the triples of size i
+    __slots__ = ("k", "forth", "back")
 
     def covered(self, i: int, x1, backward: bool) -> bool:
-        # each backward layer lies inside its forward layer
-        return x1 in self._covers[backward][i]
+        """Whether some triple of layer i in the given direction relates the
+        left configuration ``x1``."""
+        return any(t[0] == x1 for t in (self.back if backward else self.forth)[i])
 
 
 def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
@@ -274,26 +267,21 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     retractions land in backward layer i-1.
     """
     g = _Game(c1, c2)
-    strata = _stratify(g, _all_triples(g))
-    return StratifiedRelation(strata.k, *(
+    return StratifiedRelation(c1.max_card, *(
         [set(map(g.decode, layer)) for layer in layers]
-        for layers in (strata.forth, strata.back)))
+        for layers in _strata(g, _by_size(_all_triples(g), c1.max_card))))
 
 
-def _stratify(g: _Game, triples) -> StratifiedRelation:
-    k = g.i1.max_card
-    return StratifiedRelation(k, *_strata(g, _by_size(triples, k)))
-
-
-def _diagnose(g: _Game, strata: StratifiedRelation):
-    """Least stratum whose layers exclude some left configuration."""
-    for i, layer in groupby(g.i1.ordered(), int.bit_count):
+def _diagnose(g: _Game, forth: list, back: list):
+    """Least stratum whose layers, ``_strata``'s, exclude some left
+    configuration."""
+    covers = [[{t[0] for t in layer} for layer in layers] for layers in (forth, back)]
+    for i, layer in groupby(g.c1.ordered(), int.bit_count):
         layer = list(layer)
         for backward, word in ((False, "forward"), (True, "backward")):
             for m1 in layer:
-                if not strata.covered(i, m1, backward):
-                    names = sorted(str(g.c1.label(e))
-                                   for e in g.i1.decode(bits(m1)))
+                if m1 not in covers[backward][i]:
+                    names = sorted(str(g.c1.tag_labels[e]) for e in bits(m1))
                     return (("B" if backward else "F", i),
                             "configuration {" + ",".join(names) + "} "
                             f"unmatched in {word} stratum {i}")
@@ -425,13 +413,12 @@ def _barbed_game(barbs: list, succ: list, s1: int, s2: int, starts=None
 
 
 def _numbered(*structs):
-    """Each structure with its index and its configurations numbered, in
-    the index's order, after the previous structure's."""
+    """Each structure with its configurations numbered, in the order of its
+    ``exts``, after the previous structure's."""
     base = 0
     for c in structs:
-        index = c.index
-        yield c, index, {m: k for k, m in enumerate(index.exts, base)}
-        base += len(index.exts)
+        yield c, {m: k for k, m in enumerate(c.exts, base)}
+        base += len(c.exts)
 
 
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
@@ -448,17 +435,15 @@ def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
     two configuration graphs answers as the term game does.  ``starts``,
     the two start terms, are named in witnesses.
     """
-    size = len(c1.index.exts) + len(c2.index.exts)
+    size = len(c1.exts) + len(c2.exts)
     barbs: list = []
     succ: list = [[] for _ in range(size)]
     begin, ids = [], {}
-    for c, index, number in _numbered(c1, c2):
-        barb = []                       # per event: 0 if silent, else a bit
-        for e in index.events:
-            action = c.label(e)
-            barb.append(0 if action.is_tau
-                        else 1 << ids.setdefault(action, len(ids)))
-        for m, ext in index.exts.items():
+    for c, number in _numbered(c1, c2):
+        # per event: 0 if silent, else a bit
+        barb = [0 if action.is_tau else 1 << ids.setdefault(action, len(ids))
+                for action in c.tag_labels]
+        for m, ext in c.exts.items():
             k, seen = number[m], 0
             for e in ext:
                 if barb[e]:
@@ -476,14 +461,13 @@ def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     """Strong bisimilarity of the empty configurations, each extension a
     move labelled by its event's label: by the correspondence argued at
     ``barbed_bf_bisim_structs``, the forward game of the denoted processes."""
-    size = len(c1.index.exts) + len(c2.index.exts)
+    size = len(c1.exts) + len(c2.exts)
     succ: list = []
     begin, ids = [], {}
-    for c, index, number in _numbered(c1, c2):
-        label = [ids.setdefault(c.label(e), len(ids)) * size
-                 for e in index.events]
+    for c, number in _numbered(c1, c2):
+        label = [ids.setdefault(action, len(ids)) * size for action in c.tag_labels]
         succ.extend([label[e] + number[m | 1 << e] for e in ext]
-                    for m, ext in index.exts.items())
+                    for m, ext in c.exts.items())
         begin.append(number[0])
     block = _coarsest_blocks([0] * size, succ)
     return block[begin[0]] == block[begin[1]]
@@ -553,8 +537,8 @@ def synthesize_context(p1: Process, p2: Process) -> Optional[Context]:
     taken = all_names(p1) | all_names(p2)
     testers: set = set()
     for struct in (s1, s2):
-        labels = [struct.label(e) for e in struct.index.events]
-        for m in struct.index.exts:
+        labels = struct.tag_labels
+        for m in struct.exts:
             tester = tuple(sorted((labels[i] for i in bits(m)
                                    if not labels[i].is_tau), key=str))
             if 0 < len(tester) <= MAX_FACTORS:
@@ -576,9 +560,7 @@ def default_context_family(p1: Process, p2: Process) -> list[Context]:
     family: list[Context] = [HOLE]
     labels = set()
     for struct in (encode_ccs(p1), encode_ccs(p2)):
-        for e in struct.events:
-            if not struct.label(e).is_tau:
-                labels.add(struct.label(e))
+        labels.update(label for label in struct.tag_labels if not label.is_tau)
     for label in sorted(labels, key=str):
         family.append(Par(_factor(label, fresh_name("c", taken)), HOLE))
     for name in sorted(free_names(p1) | free_names(p2)):

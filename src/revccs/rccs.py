@@ -293,27 +293,24 @@ def _branches(p: Process):
     return []
 
 
-def _forward_moves(t: RTerm):
-    """Moves as (action, builder) where the builder takes the fresh id."""
+def _forward_moves(t: RTerm, i: int):
+    """Moves as (action, resulting term), the step taking the fresh id ``i``."""
     if isinstance(t, Monitored):
-        return [(a, (lambda a=a, body=body, rest=rest:
-                     lambda i: Monitored((Past(i, a, rest),) + t.memory, body))())
+        return [(a, Monitored((Past(i, a, rest),) + t.memory, body))
                 for a, body, rest in _branches(t.process)]
     if isinstance(t, RPar):
-        lmoves = _forward_moves(t.left)
-        rmoves = _forward_moves(t.right)
-        out = [(a, (lambda f=f: lambda i: RPar(f(i), t.right))()) for a, f in lmoves]
-        out += [(a, (lambda g=g: lambda i: RPar(t.left, g(i)))()) for a, g in rmoves]
-        for a, f in lmoves:
+        lmoves = _forward_moves(t.left, i)
+        rmoves = _forward_moves(t.right, i)
+        out = [(a, RPar(l2, t.right)) for a, l2 in lmoves]
+        out += [(a, RPar(t.left, r2)) for a, r2 in rmoves]
+        for a, l2 in lmoves:
             if a.is_tau:
                 continue
-            for b, g in rmoves:
+            for b, r2 in rmoves:
                 if b == a.dual():
-                    out.append((TAU, (lambda f=f, g=g:
-                                      lambda i: RPar(f(i), g(i)))()))
+                    out.append((TAU, RPar(l2, r2)))
         return out
-    return [(a, (lambda f=f: lambda i: RRestrict(t.name, f(i)))())
-            for a, f in _forward_moves(t.body)
+    return [(a, RRestrict(t.name, b2)) for a, b2 in _forward_moves(t.body, i)
             if a.is_tau or a.channel != t.name]
 
 
@@ -325,8 +322,8 @@ def forward_steps(t: RTerm, check: bool = True) -> list[tuple[TransitionLabel, R
     fresh = 1
     while fresh in used:
         fresh += 1
-    return [(TransitionLabel(fresh, a, False), normalize(f(fresh)))
-            for a, f in _forward_moves(t)]
+    return [(TransitionLabel(fresh, a, False), normalize(t2))
+            for a, t2 in _forward_moves(t, fresh)]
 
 
 # ---------------------------------------------------------------------------

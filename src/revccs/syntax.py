@@ -48,7 +48,7 @@ class Record:
 
     def __init_subclass__(cls, frozen=True, defaults=None, factories=None):
         defaults, factories = defaults or {}, factories or {}
-        fields = tuple(f for f in cls.__dict__["__slots__"] if f != "__dict__")
+        fields = cls.__dict__["__slots__"]
         params = ["self"] + [f"{f}=_default_{f}" if f in defaults else f"{f}=_FACTORY"
                              if f in factories else f for f in fields]
         # each field is set through its slot, past a frozen ``__setattr__``
@@ -94,6 +94,8 @@ class Action(Record, defaults={"channel": None}):
             raise ValueError(f"bad action kind {self.kind!r}")
         if (self.channel is None) != (self.kind == "tau"):
             raise ValueError("visible actions need a channel, tau forbids one")
+        if self.channel == "tau":       # its co-name would print as tau
+            raise ValueError("tau is not a channel name")
 
     def dual(self) -> "Action":
         if self.kind == "tau":
@@ -301,6 +303,8 @@ class _Parser:
             self.expect(".")
             return Prefix(inp(value), self.parse_factor())
         if kind == "out":
+            if value == "tau":
+                raise ParseError("tau is not a channel name", pos)
             self.next()
             self.expect(".")
             return Prefix(out(value), self.parse_factor())
@@ -571,13 +575,12 @@ def detect_auto_conflict_or_concurrency(t: CcsTerm) -> list[LabelClash]:
     from .encoding import encode_ccs
 
     struct = encode_ccs(t)
-    index = struct.index
     violations = []
-    for m in index.ordered():
+    for m in struct.ordered():
         by_label: dict[Action, list] = {}
-        for e in index.decode(index.exts[m]):
-            by_label.setdefault(struct.label(e), []).append(e)
+        for e in struct.exts[m]:
+            by_label.setdefault(struct.tag_labels[e], []).append(struct.tags[e])
         for label, events in sorted(by_label.items(), key=lambda kv: str(kv[0])):
             if len(events) > 1:
-                violations.append(LabelClash(index.config(m), label, tuple(events)))
+                violations.append(LabelClash(struct.config(m), label, tuple(events)))
     return violations

@@ -3,9 +3,11 @@
 Three sources: a deterministic enumeration of small collapsed, clash-free
 processes (used for pairwise equivalence checks), a seeded random
 generator of precondition-satisfying terms (used for per-term property
-checks), and seeded rewrites of a term by laws that preserve HHPB (pairs
-with a known answer).  All stay small so every denotation is: the first two
-within four prefixes, a rewritten term within six.
+checks), seeded rewrites of a term by laws that preserve HHPB and seeded
+instances of the expansion law, which does not (pairs with a known answer).
+All stay small so every denotation is: the first two within four prefixes,
+a rewritten term within six, and the processes an expansion composes within
+two events each.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from revccs.syntax import (CcsTerm, Nil, NIL, Par, Prefix, Restrict, Sum,
+from revccs.syntax import (TAU, CcsTerm, Nil, NIL, Par, Prefix, Restrict, Sum,
                            all_names, collapse,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
+from revccs.encoding import encode_ccs
 from revccs.rccs import ccs_state_key
 
 
@@ -197,6 +200,29 @@ def law_pair(seed: int, steps: int = 3) -> tuple[CcsTerm, CcsTerm, list[str]]:
     else:
         t = _random_term(rng, 4)
     return (t, *rewrite_by_laws(t, rng, steps))
+
+
+def _small_term(rng: random.Random) -> CcsTerm:
+    """A seeded random term whose denotation has at most two events."""
+    while True:
+        t = _random_term(rng, 2)
+        if len(encode_ccs(t).events) <= 2:
+            return t
+
+
+def expansion_pair(seed: int) -> tuple[CcsTerm, CcsTerm]:
+    """``a.P | b.Q`` against its expansion ``a.(P | b.Q) + b.(a.P | Q)``,
+    plus the branch ``tau.(P | Q)`` when ``b`` is the co-name of ``a``, for
+    seeded actions and seeded P and Q of at most two events each.  The two
+    sides are forward-bisimilar but not HHPB-related: a and b are
+    concurrent on the left and ordered on the right."""
+    rng = random.Random(seed)
+    a, b = rng.choice(ACTIONS), rng.choice(ACTIONS)
+    p, q = _small_term(rng), _small_term(rng)
+    branches = [Prefix(a, Par(p, Prefix(b, q))), Prefix(b, Par(Prefix(a, p), q))]
+    if b == a.dual():
+        branches.append(Prefix(TAU, Par(p, q)))
+    return Par(Prefix(a, p), Prefix(b, q)), sum_of(branches)
 
 
 FIG_TERMS = {

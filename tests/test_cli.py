@@ -30,6 +30,15 @@ class TestParse:
         assert code == 2 and "error" in err
 
     @pytest.mark.parametrize("argv", [
+        ("parse", "'tau.0"),
+        ("discriminate", "'tau.0 | b.0", "'tau.b.0 + b.'tau.0"),
+    ])
+    def test_tau_channel(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: tau is not a channel name (at position 0)\n"
+
+    @pytest.mark.parametrize("argv", [
         ("check", "a." * 1200 + "0", "a.0"),
         ("parse", "{" * 600 + "a.0" + "}" * 600),
     ])

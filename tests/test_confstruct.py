@@ -289,7 +289,7 @@ def _definitional_causes(c, x):
 
 
 def test_index_matches_definitions():
-    # the structure's index against extensions and causal orders computed
+    # the structure's masks against extensions and causal orders computed
     # from the definitions: corpus structures, sync-2 and sync-2' (causes to
     # map), three parallel silent steps kept apart, and random terms
     terms = (enumerated_terms()
@@ -299,22 +299,21 @@ def test_index_matches_definitions():
              + random_terms(60, seed=7))
     for t in terms:
         c = encode_ccs(t)
-        index = c.index
-        assert len(index.exts) == len(c.configs)
-        assert list(map(index.config, index.ordered())) == sorted(
+        assert len(c.exts) == len(c.configs)
+        assert list(map(c.config, c.ordered())) == sorted(
             c.configs, key=lambda x: (len(x), sorted(map(repr, x))))
         for x in c.configs:
-            m = index.mask_of(x)
-            assert index.config(m) == x
+            m = c.mask_of(x)
+            assert c.config(m) == x
             with pytest.raises(NotAConfiguration):
-                index.mask_of(x | {"no event"})
-            assert index.decode(index.exts[m]) == tuple(sorted(
+                c.mask_of(x | {"no event"})
+            assert c.decode(c.exts[m]) == tuple(sorted(
                 (e for e in c.events - x if x | {e} in c.configs), key=repr))
             causes = _definitional_causes(c, x)
             for e, below in causes.items():
-                assert index.causes(m, index.bit[e]) == sum(
-                    1 << index.bit[d] for d in below), (unparse(t), x, e)
-            assert index.order_size(m) == sum(map(len, causes.values()))
+                assert c.causes(m, c.bit[e]) == sum(
+                    1 << c.bit[d] for d in below), (unparse(t), x, e)
+            assert c.order_size(m) == sum(map(len, causes.values()))
 
 
 def _subterms(t):
@@ -326,14 +325,13 @@ def _subterms(t):
 
 
 def _assert_index_is_definitional(c):
-    """The index a construction handed ``c`` against the one rebuilt from
-    its decoded family, and equality and hashing against that rebuilt
-    structure."""
+    """The numbering a construction derived for ``c`` against the one
+    rebuilt from its decoded family, and equality and hashing against that
+    rebuilt structure."""
     rebuilt = ConfStruct(c.events, c.configs, c.labels)
-    got, want = c.index, rebuilt.index
-    assert got.events == want.events
-    assert got.exts == want.exts and got.rets == want.rets
-    assert got.depths == want.depths and got.max_card == want.max_card
+    assert c.tags == rebuilt.tags and c.tag_labels == rebuilt.tag_labels
+    assert c.exts == rebuilt.exts and c.rets == rebuilt.rets
+    assert c.depths == rebuilt.depths and c.max_card == rebuilt.max_card
     assert c == rebuilt and rebuilt == c and hash(c) == hash(rebuilt)
 
 

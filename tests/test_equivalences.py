@@ -8,7 +8,7 @@ import pytest
 
 from corpus import corpus_pairs, enumerated_terms, random_terms
 from revccs.cli import main
-from revccs.confstruct import EMPTY, ConfIndex, bits, causal_order
+from revccs.confstruct import ConfStruct, bits, causal_order
 from revccs.syntax import (HOLE, all_names, collapse, instantiate, parse,
                            parse_context, unparse)
 from revccs.encoding import encode_ccs
@@ -171,10 +171,9 @@ def _reference_synthesis(p1, p2):
         return HOLE
     candidates = set()
     for struct in (encode_ccs(p1), encode_ccs(p2)):
-        index = struct.index
-        visible = {i: struct.label(e) for i, e in enumerate(index.events)
-                   if not struct.label(e).is_tau}
-        for m, ext in index.exts.items():
+        visible = {i: label for i, label in enumerate(struct.tag_labels)
+                   if not label.is_tau}
+        for m, ext in struct.exts.items():
             labels = tuple(sorted((visible[i] for i in bits(m) if i in visible),
                                   key=str))
             if labels and len(labels) <= MAX_FACTORS:
@@ -407,10 +406,10 @@ def test_relation_matches_sweep_on_corpus():
 
 
 def test_discriminate_decodes_no_configuration(monkeypatch, capsys):
-    # the constructions hand every structure its integer index and the games
-    # read it: discriminate on sync-2 against sync-2' decodes no
-    # configuration and indexes no explicit family (the empty structure
-    # is one, so its index is built first)
+    # the constructions derive every structure from their operands' and the
+    # games read its masks: discriminate on sync-2 against sync-2' decodes
+    # no configuration and numbers no explicit family (``EMPTY``, the one
+    # such structure on this path, is built on import)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -419,11 +418,10 @@ def test_discriminate_decodes_no_configuration(monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    EMPTY.index
     encode_ccs.cache_clear()
     hhpb.cache_clear()
-    for name in ("config", "of_family"):
-        monkeypatch.setattr(ConfIndex, name, counted(name, getattr(ConfIndex, name)))
+    for name in ("config", "__init__"):
+        monkeypatch.setattr(ConfStruct, name, counted(name, getattr(ConfStruct, name)))
     assert main(["discriminate", "a.0 | 'a.0 | b.0 | 'b.0",
                  "a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}",
                  "--max-events", "40"]) == 1

@@ -4,13 +4,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from corpus import _random_term, enumerated_terms, law_pair, random_terms
-from revccs.syntax import collapse, parse, unparse
+from corpus import (_random_term, enumerated_terms, expansion_pair, law_pair,
+                    random_terms)
+from revccs.syntax import collapse, instantiate, parse, unparse
 from revccs.confstruct import (causal_order, parallel_full, product, residual,
                                transitions, validate)
 from revccs.encoding import encode_ccs
-from revccs.equivalences import (barbed_bf_bisim_structs, forward_bisim_structs,
-                                 hhpb, hhpb_oracle)
+from revccs.equivalences import (barbed_bf_bisim_structs, barbed_bf_bisim_terms,
+                                 forward_bisim_structs, hhpb, hhpb_oracle,
+                                 synthesize_context)
 from revccs.rccs import (backward_steps, forward_steps, is_coherent, lift,
                          normalize, state_key)
 
@@ -122,3 +124,21 @@ def test_hhpb_reflexive_and_symmetric():
         assert hhpb(c1, c1).related, i
         for j, c2 in enumerate(structs[i + 1:], i + 1):
             assert hhpb(c1, c2).related == hhpb(c2, c1).related, (i, j)
+
+
+def test_expansion_law_pairs():
+    # a.P | b.Q against its expansion: forward-bisimilar, not HHPB-related,
+    # and separated by the context synthesize_context returns; the game on
+    # the terms confirms the separation on the first few pairs
+    for seed in range(30):
+        p, q = expansion_pair(seed)
+        c1, c2 = encode_ccs(p), encode_ccs(q)
+        why = (seed, unparse(p), unparse(q))
+        assert forward_bisim_structs(c1, c2), why
+        assert not hhpb(c1, c2).related, why
+        ctx = synthesize_context(p, q)
+        assert ctx is not None, why
+        r1, r2 = instantiate(ctx, p), instantiate(ctx, q)
+        assert not barbed_bf_bisim_structs(encode_ccs(r1), encode_ccs(r2)).related, why
+        if seed < 3:
+            assert not barbed_bf_bisim_terms(lift(r1), lift(r2)).related, why

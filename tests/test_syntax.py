@@ -62,6 +62,16 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse(bad)
 
+    def test_tau_is_no_channel(self):
+        # the co-name of a channel tau would print as the silent prefix
+        for text, position in (("'tau.0", 0), ("a.'tau.0 | b.0", 2)):
+            with pytest.raises(ParseError, match="^tau is not a channel name") as exc:
+                parse(text)
+            assert exc.value.position == position
+        for kind in ("in", "out"):
+            with pytest.raises(ValueError, match="^tau is not a channel name$"):
+                Action(kind, "tau")
+
     def test_hole_rejected_in_process(self):
         with pytest.raises(ParseError):
             parse("a.[·] | b.0")
