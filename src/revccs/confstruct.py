@@ -39,6 +39,14 @@ class Killed(Record):
 KILLED = Killed()
 
 
+class SyncEvent(tuple):
+    """Tag ("x", e1, e2) of a product event pairing an event of each side.
+    Its ``repr``, hash and equality are the plain tuple's, so events order
+    and compare as they would untyped."""
+
+    __slots__ = ()
+
+
 def bits(m: int) -> list:
     """The positions of the set bits of ``m``, lowest first."""
     out = []
@@ -80,9 +88,13 @@ class ConfStruct:
         missing = events - set(labels)
         if missing:
             raise ValueError(f"unlabelled events: {missing!r}")
+        configs = [frozenset(x) for x in configs]
+        stray = frozenset().union(*configs) - events
+        if stray:
+            raise ValueError(f"configurations name unknown events: {stray!r}")
         tags = tuple(sorted(events, key=repr))
         bit = {e: i for i, e in enumerate(tags)}
-        exts = {sum(1 << bit[e] for e in set(x)): [] for x in configs}
+        exts = {sum(1 << bit[e] for e in x): [] for x in configs}
         rets = {m: [] for m in exts}
         depths = [None] * len(tags)
         for m in exts:
@@ -293,8 +305,7 @@ class Morphism(Record, frozen=False, factories={"mapping": dict}):
                 sync = ((isinstance(src, PairLabel)
                          and tgt in (src.left, src.right))
                         or (getattr(src, "is_tau", False)
-                            and isinstance(e, tuple) and len(e) == 3
-                            and e[0] == "x" and None not in e[1:]))
+                            and isinstance(e, SyncEvent)))
                 if src != tgt and not sync:
                     out.append(f"label not preserved on {e!r}")
         return out
@@ -375,8 +386,9 @@ def product(c1: ConfStruct, c2: ConfStruct,
 def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct:
     """The synchronous product of two structures.
 
-    Events are ("x", e1, e2), e1 or e2 None when absent, a pair labelled by
-    ``pair_label`` of the two labels; pairs it labels killed are left out.
+    Events are ("x", e1, e2), e1 or e2 None when absent, a pair (a
+    ``SyncEvent``) labelled by ``pair_label`` of the two labels; pairs it
+    labels killed are left out.
     The events are numbered before growth, in ``repr`` order: each live
     event of either side alone and each live pair not killed.  Each lies in
     some configuration: grow its side (both, for a pair) up to
@@ -407,8 +419,10 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
     reprs2 = [repr(e) for e in c2.tags] + ["None"]
     found.sort(key=lambda t: f"('x', {reprs1[-1 if t[0] is None else t[0]]}, "
                              f"{reprs2[-1 if t[1] is None else t[1]]})")
-    tags = tuple(("x", None if a is None else c1.tags[a],
-                  None if b is None else c2.tags[b]) for a, b, _ in found)
+    tags = tuple(("x", c1.tags[a], None) if b is None
+                 else ("x", None, c2.tags[b]) if a is None
+                 else SyncEvent(("x", c1.tags[a], c2.tags[b]))
+                 for a, b, _ in found)
     number = {(a, b): k for k, (a, b, _) in enumerate(found)}
     proj1 = [0 if a is None else 1 << a for a, _, _ in found]
     proj2 = [0 if b is None else 1 << b for _, b, _ in found]

@@ -5,9 +5,10 @@ structures (triples grown from the empty triple, then layered passes by size
 that give both the maximal relation and the strata of the diagnosis,
 cross-checked by an explicit game-graph oracle), back-and-forth barbed
 bisimulation and plain forward bisimulation, both played on configuration
-graphs; the barbed game on reversible terms is kept as the operational
-reference.  When the history-preserving game fails, a discriminating context
-is searched for among testers read off the configurations of either
+graphs, the barbed game on only the configurations that silent moves reach;
+the barbed game on reversible terms is kept as the operational reference.
+When the history-preserving game fails, a discriminating context is
+searched for among testers read off the configurations of either
 denotation, each verified in the barbed game.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
@@ -412,15 +413,6 @@ def _barbed_game(barbs: list, succ: list, s1: int, s2: int, starts=None
                     False, witness=f"{who} {word} unanswered{at}")
 
 
-def _numbered(*structs):
-    """Each structure with its configurations numbered, in the order of its
-    ``exts``, after the previous structure's."""
-    base = 0
-    for c in structs:
-        yield c, {m: k for k, m in enumerate(c.exts, base)}
-        base += len(c.exts)
-
-
 def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
                             ) -> EquivalenceVerdict:
     """Barb-preserving bisimulation matching silent moves both ways.
@@ -434,27 +426,45 @@ def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
     is bisimilar to its state, and given the terms' starts the game on the
     two configuration graphs answers as the term game does.  ``starts``,
     the two start terms, are named in witnesses.
+
+    Every move is silent, so only the configurations that silent extensions
+    reach from the empty one are numbered.  Silent retractions stay among
+    them: under the axioms ``validate`` checks, every configuration is
+    reached from the empty one by single events.  Bisimilarity depends only
+    on what moves reach, so this part answers, witness included, as the
+    whole graph does.
     """
-    size = len(c1.exts) + len(c2.exts)
     barbs: list = []
-    succ: list = [[] for _ in range(size)]
+    succ: list = []                     # silent moves forward
     begin, ids = [], {}
-    for c, number in _numbered(c1, c2):
+    for c in (c1, c2):
         # per event: 0 if silent, else a bit
         barb = [0 if action.is_tau else 1 << ids.setdefault(action, len(ids))
                 for action in c.tag_labels]
-        for m, ext in c.exts.items():
-            k, seen = number[m], 0
-            for e in ext:
+        base = len(barbs)
+        number, reached = {0: base}, [0]
+        for m in reached:               # numbered in the order found
+            seen, moves = 0, []
+            for e in c.exts[m]:
                 if barb[e]:
                     seen |= barb[e]
-                else:                   # a silent move, and its undoing
-                    n = number[m | 1 << e]
-                    succ[k].append(n)
-                    succ[n].append(size + k)
+                else:
+                    n = m | 1 << e
+                    k = number.get(n)
+                    if k is None:
+                        k = number[n] = base + len(reached)
+                        reached.append(n)
+                    moves.append(k)
             barbs.append(seen)
-        begin.append(number[0])
-    return _barbed_game(barbs, succ, *begin, starts)
+            succ.append(moves)
+        begin.append(base)
+    size = len(barbs)
+    undo: list = [[] for _ in range(size)]
+    for k, moves in enumerate(succ):
+        for n in moves:
+            undo[n].append(size + k)
+    return _barbed_game(barbs, [f + b for f, b in zip(succ, undo)], *begin,
+                        starts)
 
 
 def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
@@ -464,7 +474,8 @@ def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     size = len(c1.exts) + len(c2.exts)
     succ: list = []
     begin, ids = [], {}
-    for c, number in _numbered(c1, c2):
+    for c in (c1, c2):
+        number = {m: k for k, m in enumerate(c.exts, len(succ))}
         label = [ids.setdefault(action, len(ids)) * size for action in c.tag_labels]
         succ.extend([label[e] + number[m | 1 << e] for e in ext]
                     for m, ext in c.exts.items())

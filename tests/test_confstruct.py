@@ -422,6 +422,12 @@ class TestSerialization:
             c = encode_ccs(parse(text))
             assert isomorphic(from_json(to_json(c)), c)
 
+    def test_json_stray_event(self):
+        data = {"events": [{"id": "e0", "label": "a"}],
+                "configurations": [[], ["e0"], ["e1"]]}
+        with pytest.raises(ValueError, match="unknown events: frozenset\\({'e1'}\\)"):
+            from_json(data)
+
     def test_json_shape(self):
         data = to_json(encode_ccs(parse("0")))
         assert data == {"events": [], "configurations": [[]]}
@@ -449,6 +455,18 @@ class TestMorphism:
     def test_identity(self):
         c = encode_ccs(parse("a.b.0"))
         assert Morphism(c, c, {e: e for e in c.events}).is_morphism()
+
+    def test_synchronisations_by_type(self):
+        # a silent synchronisation projects to either half; an event only
+        # shaped like one keeps its label
+        r = parallel_full(single(A), single(COA, "f"))
+        (sync,) = [e for e in r.struct.events if isinstance(e, cs.SyncEvent)]
+        assert sync == ("x", "e", "f") and repr(sync) == "('x', 'e', 'f')"
+        assert r.struct.label(sync) == TAU
+        assert r.proj1.is_morphism() and r.proj2.is_morphism()
+        shaped = single(TAU, ("x", "e", "f"))
+        bad = Morphism(shaped, single(A), {("x", "e", "f"): "e"})
+        assert bad.violations() == ["label not preserved on ('x', 'e', 'f')"]
 
     def test_morphisms_reflect_causality(self):
         r = parallel_full(encode_ccs(parse("a.b.0")), encode_ccs(parse("'a.0")))

@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from corpus import corpus_pairs, enumerated_terms, random_terms
+from corpus import (corpus_pairs, enumerated_terms, expansion_pair, law_pair,
+                    random_terms)
 from revccs.cli import main
 from revccs.confstruct import ConfStruct, bits, causal_order
 from revccs.syntax import (HOLE, all_names, collapse, instantiate, parse,
@@ -14,6 +15,7 @@ from revccs.syntax import (HOLE, all_names, collapse, instantiate, parse,
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          normalize, reachable_states)
+from revccs import equivalences
 from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  barbed_bf_bisim_structs,
                                  barbed_bf_bisim_terms, build_stratification,
@@ -22,7 +24,7 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
                                  MAX_FACTORS, _Game, _all_triples,
-                                 _candidate, _isomorphisms)
+                                 _barbed_game, _candidate, _isomorphisms)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -319,6 +321,67 @@ def test_barbed_witness_silent_undo():
         False, witness="left silent undo unanswered at <1,tau,0> |> 0")
     assert barbed_bf_bisim_terms(nil, after) == EquivalenceVerdict(
         False, witness="right silent undo unanswered at <1,tau,0> |> 0")
+
+
+def _full_graph_barbed(c1, c2, starts=None):
+    """The barbed game on the whole configuration graphs of both
+    structures, each numbered in the order of its ``exts``: the reference
+    for the game on their silent parts."""
+    size = len(c1.exts) + len(c2.exts)
+    barbs, succ = [], [[] for _ in range(size)]
+    base, begin, ids = 0, [], {}
+    for c in (c1, c2):
+        number = {m: k for k, m in enumerate(c.exts, base)}
+        base += len(number)
+        barb = [0 if action.is_tau else 1 << ids.setdefault(action, len(ids))
+                for action in c.tag_labels]
+        for m, ext in c.exts.items():
+            k, seen = number[m], 0
+            for e in ext:
+                if barb[e]:
+                    seen |= barb[e]
+                else:
+                    n = number[m | 1 << e]
+                    succ[k].append(n)
+                    succ[n].append(size + k)
+            barbs.append(seen)
+        begin.append(number[0])
+    return _barbed_game(barbs, succ, *begin, starts)
+
+
+def test_silent_part_answers_as_full_graph():
+    # verdicts and witnesses, starts named, on the corpus, every ordered
+    # pair of random terms, law and expansion-law pairs, the pairs with
+    # causes to map and parallel silent steps, and the expansion law on
+    # silent prefixes, which only undoing tells apart
+    terms = random_terms(60, seed=7)
+    silent = (parse("tau.a.0 | tau.b.0"),
+              parse("tau.(a.0 | tau.b.0) + tau.(tau.a.0 | b.0)"))
+    pairs = (corpus_pairs() + list(itertools.product(terms, repeat=2))
+             + [law_pair(seed)[:2] for seed in range(80)]
+             + [expansion_pair(seed) for seed in range(30)]
+             + [(SYNC_2, SYNC_2_EXPANDED), (TAUS_3, TAUS_3), silent,
+                silent[::-1]])
+    for p1, p2 in pairs:
+        s1, s2, starts = encode_ccs(p1), encode_ccs(p2), (unparse(p1), unparse(p2))
+        assert barbed_bf_bisim_structs(s1, s2, starts) == _full_graph_barbed(
+            s1, s2, starts), starts
+
+
+def test_barbed_game_numbers_the_silent_part(monkeypatch):
+    # sync-4 against itself: 2^4 silent configurations a side, of 5^4
+    played = []
+
+    def counted(barbs, *rest):
+        played.append(len(barbs))
+        return _barbed_game(barbs, *rest)
+
+    monkeypatch.setattr(equivalences, "_barbed_game", counted)
+    sync_4 = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | d.0 | 'd.0"
+    assert main(["check", sync_4, sync_4, "--equiv", "barbed",
+                 "--max-events", "16"]) == 0
+    assert played == [32]
+    assert len(encode_ccs(parse(sync_4)).exts) == 625
 
 
 # ---------------------------------------------------------------------------
