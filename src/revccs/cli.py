@@ -42,9 +42,9 @@ def _prepare(text: str, args):
 def _encode_guarded(p, args, encode=encode_ccs):
     """The denotation of ``p``, refused when it is over ``--max-events``."""
     struct = encode(p)
-    if len(struct.events) > args.max_events:
+    if len(struct.tags) > args.max_events:
         raise ValueError(
-            f"denotation has {len(struct.events)} events, over the "
+            f"denotation has {len(struct.tags)} events, over the "
             f"--max-events bound of {args.max_events}")
     return struct
 

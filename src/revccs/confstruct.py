@@ -60,28 +60,42 @@ def bits(m: int) -> list:
 _set = object.__setattr__      # past the structure's frozen ``__setattr__``
 
 
+def _kept(derive: Callable) -> property:
+    """A property computing ``derive(self)`` on first read and keeping it in
+    the slot named for it with a leading underscore."""
+    slot = "_" + derive.__name__
+
+    def read(self):
+        value = getattr(self, slot)
+        if value is None:
+            value = derive(self)
+            _set(self, slot, value)
+        return value
+    return property(read, doc=derive.__doc__)
+
+
 class ConfStruct:
     """Immutable labelled configuration structure, its events numbered and
     its configurations held as ints.
 
     Event ``tags[i]`` is bit i, in ``repr`` order (``bit`` maps back), and
     ``tag_labels[i]`` is its label: reading a mask from its lowest bit up
-    visits events in the order ``extensions`` lists them.  ``exts`` and
-    ``rets`` map each configuration's mask to its extensions and
-    retractions as ascending tuples of bits; they iterate in the order the
-    structure was built, and ``ordered()`` gives the canonical order.
-    ``depths`` holds each event's least configuration size (None for an
-    event in no configuration) and ``max_card`` the largest configuration
-    size.  A structure given an explicit family of frozensets numbers it on
-    construction; the constructions derive the structures they build from
+    visits events in the order ``extensions`` lists them.  ``exts`` maps
+    each configuration's mask to its extensions as an ascending tuple of
+    bits; it iterates in the order the structure was built, and
+    ``ordered()`` gives the canonical order.  These three fields are all a
+    structure is given: a structure given an explicit family of frozensets
+    numbers it on construction, and the constructions derive ``exts`` from
     their operands' (see ``product``, ``coproduct``, ``prefix`` and
-    ``restricted``), and decode the family ``configs`` only when it is
-    read.  Cause masks and order sizes are computed on first use.  Equality
-    and hashing read the numbering: equal structures number events alike.
+    ``restricted``).  Everything else follows from them and is computed on
+    first read: the family ``configs``, the retractions ``rets`` (laid out
+    as ``exts``), each event's least configuration size ``depths`` and the
+    largest one ``max_card``, cause masks and order sizes.  Equality and
+    hashing read the numbering: equal structures number events alike.
     """
 
-    __slots__ = ("tags", "tag_labels", "exts", "rets", "depths", "max_card",
-                 "_bit", "_events", "_configs", "_hash", "_causes", "_sizes")
+    __slots__ = ("tags", "tag_labels", "exts", "_bit", "_events", "_configs",
+                 "_rets", "_depths", "_max_card", "_hash", "_causes", "_sizes")
 
     def __init__(self, events: Iterable, configs: Iterable, labels: dict):
         events = frozenset(events)
@@ -95,63 +109,72 @@ class ConfStruct:
         tags = tuple(sorted(events, key=repr))
         bit = {e: i for i, e in enumerate(tags)}
         exts = {sum(1 << bit[e] for e in x): [] for x in configs}
-        rets = {m: [] for m in exts}
-        depths = [None] * len(tags)
         for m in exts:
-            size = m.bit_count()
             for i in bits(m):
                 if m ^ 1 << i in exts:
                     exts[m ^ 1 << i].append(i)
-                    rets[m].append(i)
-                if depths[i] is None or size < depths[i]:
-                    depths[i] = size
-        for table in (exts, rets):
-            for m, found in table.items():
-                table[m] = tuple(sorted(found))
-        self._fill(tags, tuple(labels[e] for e in tags), exts, rets, tuple(depths),
-                   max(map(int.bit_count, exts), default=0), bit, events)
+        for m, found in exts.items():
+            exts[m] = tuple(sorted(found))
+        self._fill(tags, tuple(labels[e] for e in tags), exts)
 
-    def _fill(self, tags, tag_labels, exts, rets, depths, max_card, bit=None,
-              events=None):
-        # in slot order; the family, the hash and the memos start unset
-        for name, value in zip(self.__slots__, (tags, tag_labels, exts, rets, depths,
-                                                max_card, bit, events, None, None, {}, {})):
+    def _fill(self, tags, tag_labels, exts):
+        # in slot order; the memos start unset
+        for name, value in zip(self.__slots__, (tags, tag_labels, exts) + (None,) * 7
+                               + ({}, {})):
             _set(self, name, value)
 
     @classmethod
-    def _built(cls, tags: tuple, tag_labels: tuple, exts: dict, rets: dict,
-               depths: tuple, max_card: int) -> "ConfStruct":
+    def _built(cls, tags: tuple, tag_labels: tuple, exts: dict) -> "ConfStruct":
         """The structure a construction derived, its fields given."""
         c = object.__new__(cls)
-        c._fill(tags, tag_labels, exts, rets, depths, max_card)
+        c._fill(tags, tag_labels, exts)
         return c
 
     def __setattr__(self, name, value):
         raise AttributeError("ConfStruct is immutable")
 
-    @property
+    @_kept
     def bit(self) -> dict:
-        bit = self._bit
-        if bit is None:
-            bit = {e: i for i, e in enumerate(self.tags)}
-            _set(self, "_bit", bit)
-        return bit
+        return {e: i for i, e in enumerate(self.tags)}
 
-    @property
+    @_kept
     def events(self) -> frozenset:
-        events = self._events
-        if events is None:
-            events = frozenset(self.tags)
-            _set(self, "_events", events)
-        return events
+        return frozenset(self.tags)
 
-    @property
+    @_kept
     def configs(self) -> frozenset:
-        configs = self._configs
-        if configs is None:
-            configs = frozenset(map(self.config, self.exts))
-            _set(self, "_configs", configs)
-        return configs
+        return frozenset(map(self.config, self.exts))
+
+    @_kept
+    def rets(self) -> dict:
+        """Each configuration's retractions, the events e of it whose
+        removal leaves a configuration, as an ascending tuple of bits: the
+        extensions turned round.  Walking the masks from the highest down
+        meets the masks n ^ 1 << i below n with i ascending."""
+        exts = self.exts
+        rets = {m: [] for m in exts}
+        for m in sorted(exts, reverse=True):
+            for i in exts[m]:
+                rets[m | 1 << i].append(i)
+        return {m: tuple(back) for m, back in rets.items()}
+
+    @_kept
+    def depths(self) -> tuple:
+        """Each event's least configuration size, None for an event in no
+        configuration: the size of the first configuration holding it, the
+        configurations taken by size."""
+        depths = [None] * len(self.tags)
+        seen = 0
+        for m in sorted(self.exts, key=int.bit_count):
+            for i in bits(m & ~seen):
+                depths[i] = m.bit_count()
+            seen |= m
+        return tuple(depths)
+
+    @_kept
+    def max_card(self) -> int:
+        """The largest configuration size."""
+        return max(map(int.bit_count, self.exts), default=0)
 
     def label(self, e) -> Action:
         return self.tag_labels[self.bit[e]]
@@ -189,17 +212,14 @@ class ConfStruct:
 
     def restricted(self, keep: int) -> "ConfStruct":
         """The structure restricted to the events of the mask ``keep``, its
-        events renumbered in order.  Depths are read off retractions: a
-        least configuration holding an event retracts only that event, on a
-        family whose configurations are all reached from the empty one by
-        single events (as a restriction's are when its operand's are)."""
+        events renumbered in order: the configurations within ``keep``,
+        with the extensions they keep."""
         n = len(self.tags)
         if keep == (1 << n) - 1:
             return self
         drop = [i for i in reversed(range(n)) if not keep >> i & 1]
         new = [(keep & (1 << i) - 1).bit_count() for i in range(n)]
-        exts, rets = {}, {}
-        depths = [None] * keep.bit_count()
+        exts = {}
         for m, ext in self.exts.items():
             if m & ~keep:
                 continue
@@ -207,15 +227,10 @@ class ConfStruct:
             for j in drop:                  # from the top, so lower bits stay put
                 k = k & (1 << j) - 1 | k >> j + 1 << j
             exts[k] = tuple(new[b] for b in ext if keep >> b & 1)
-            rets[k] = back = tuple(new[b] for b in self.rets[m])
-            size = k.bit_count()
-            for b in back:
-                if depths[b] is None or size < depths[b]:
-                    depths[b] = size
         kept = [i for i in range(n) if keep >> i & 1]
         return ConfStruct._built(
             tuple(self.tags[i] for i in kept), tuple(self.tag_labels[i] for i in kept),
-            exts, rets, tuple(depths), max(map(int.bit_count, exts), default=0))
+            exts)
 
     def mask_of(self, x: frozenset) -> int:
         """The mask of the configuration ``x``."""
@@ -396,9 +411,7 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
     a mask grown from the empty one with its projection masks m1 and m2:
     its extensions are e1 alone, e2 alone and their pair, for e1 in
     ``c1.exts[m1]`` and e2 in ``c2.exts[m2]``, so growth records
-    extensions and retractions as it goes.  An event's depth is the
-    least size of a configuration first reached by adding it: a least
-    configuration holding an event retracts only that event.
+    extensions as it goes, and the events it reaches.
     """
     _rooted(c1, c2)
     labels1, labels2 = c1.tag_labels, c2.tag_labels
@@ -434,8 +447,7 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
     moves1 = {m1: [number[a, None] for a in ext] for m1, ext in c1.exts.items()}
     moves2 = {m2: [number[None, b] for b in ext] for m2, ext in c2.exts.items()}
     paired = any(pairs)
-    exts, rets = {}, {0: []}
-    depths: list = [None] * len(tags)
+    exts, seen, live = {}, {0}, 0
     frontier = [(0, 0, 0)]
     while frontier:
         m, m1, m2 = frontier.pop()
@@ -448,23 +460,15 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
                     step.extend(row[b] for b in ext2 if b in row)
         step.sort()
         exts[m] = tuple(step)
-        size = m.bit_count() + 1
         for k in step:
             n = m | 1 << k
-            back = rets.get(n)
-            if back is None:
-                rets[n] = [k]
-                if depths[k] is None or size < depths[k]:
-                    depths[k] = size
+            if n not in seen:
+                seen.add(n)
+                live |= n
                 frontier.append((n, m1 | proj1[k], m2 | proj2[k]))
-            else:
-                back.append(k)
     # restricted to the live events growth reached, if it missed any
     return ConfStruct._built(
-        tags, tuple(label for _, _, label in found), exts,
-        {n: tuple(sorted(back)) for n, back in rets.items()}, tuple(depths),
-        max(map(int.bit_count, exts))).restricted(
-            sum(1 << k for k, d in enumerate(depths) if d is not None))
+        tags, tuple(label for _, _, label in found), exts).restricted(live)
 
 
 def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
@@ -477,16 +481,14 @@ def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
     def shifted(found):
         return tuple(b + n1 for b in found)
 
-    exts, rets = dict(c1.exts), dict(c1.rets)
+    exts = dict(c1.exts)
     exts[0] += shifted(c2.exts[0])
     for m, ext in c2.exts.items():
         if m:
             exts[m << n1] = shifted(ext)
-            rets[m << n1] = shifted(c2.rets[m])
     return ConfStruct._built(
         tuple((1, e) for e in c1.tags) + tuple((2, e) for e in c2.tags),
-        c1.tag_labels + c2.tag_labels, exts, rets, c1.depths + c2.depths,
-        max(c1.max_card, c2.max_card))
+        c1.tag_labels + c2.tag_labels, exts)
 
 
 def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
@@ -520,21 +522,16 @@ def prefix(action: Action, c: ConfStruct) -> ConfStruct:
     def shifted(found):
         return tuple(b + (b >= r) for b in found)
 
-    exts, rets = {0: (r,)}, {0: ()}
+    exts = {0: (r,)}
     for m, ext in c.exts.items():
-        k = m >> r << r + 1 | m & low | top
-        exts[k] = shifted(ext)
-        rets[k] = shifted(c.rets[m]) if m else (r,)
-    depths = tuple(None if d is None else d + 1 for d in c.depths)
+        exts[m >> r << r + 1 | m & low | top] = shifted(ext)
     return ConfStruct._built(
         c.tags[:r] + (fresh,) + c.tags[r:],
-        c.tag_labels[:r] + (action,) + c.tag_labels[r:], exts, rets,
-        depths[:r] + (1,) + depths[r:], c.max_card + 1)
+        c.tag_labels[:r] + (action,) + c.tag_labels[r:], exts)
 
 
 def relabel(c: ConfStruct, f: Callable) -> ConfStruct:
-    return ConfStruct._built(c.tags, tuple(map(f, c.tag_labels)), c.exts, c.rets,
-                             c.depths, c.max_card)
+    return ConfStruct._built(c.tags, tuple(map(f, c.tag_labels)), c.exts)
 
 
 def _sync_label(label):
@@ -617,7 +614,7 @@ def embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
     Dead events are pruned on both sides first.
     """
     c1, c2 = prune(c1), prune(c2)
-    if (len(c1.events) > len(c2.events)
+    if (len(c1.tags) > len(c2.tags)
             or len(c1.exts) > len(c2.exts)):
         return None
     return _embed_search(c1, c2, require_onto=False)
@@ -629,7 +626,7 @@ def isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:
     Dead events are pruned on both sides first.
     """
     c1, c2 = prune(c1), prune(c2)
-    if (len(c1.events) != len(c2.events)
+    if (len(c1.tags) != len(c2.tags)
             or len(c1.exts) != len(c2.exts)):
         return False
     return _embed_search(c1, c2, require_onto=True) is not None

@@ -59,14 +59,15 @@ class EquivalenceVerdict(Record, frozen=False, defaults={
 # packed into one slot per left event, holding one plus its image's bit
 
 class _Game:
-    """The two structures one decision compares, the slot width of a packed
-    bijection, and for each left event the mask of the right events with
-    its label."""
+    """The two structures one decision compares, their retraction tables,
+    the slot width of a packed bijection, and for each left event the mask
+    of the right events with its label."""
 
-    __slots__ = ("c1", "c2", "width", "slot", "match")
+    __slots__ = ("c1", "c2", "width", "slot", "match", "rets1", "rets2")
 
     def __init__(self, c1: ConfStruct, c2: ConfStruct):
         self.c1, self.c2 = c1, c2
+        self.rets1, self.rets2 = c1.rets, c2.rets
         self.width = len(c2.tags).bit_length()
         self.slot = (1 << self.width) - 1
         self.match = [sum(1 << b for b, label2 in enumerate(c2.tag_labels)
@@ -156,13 +157,13 @@ def _back_ok(triple, g: _Game, reference) -> Optional[str]:
     m1, m2, f = triple
     width, slot = g.width, g.slot
     images = 0
-    for e1 in g.c1.rets[m1]:
+    for e1 in g.rets1[m1]:
         shift = e1 * width
         e2 = (f >> shift & slot) - 1
         images |= 1 << e2
         if (m1 ^ 1 << e1, m2 ^ 1 << e2, f & ~(slot << shift)) not in reference:
             return f"left retraction {g.c1.tag_labels[e1]} unanswered"
-    for e2 in g.c2.rets[m2]:
+    for e2 in g.rets2[m2]:
         if not images >> e2 & 1:
             return f"right retraction {g.c2.tag_labels[e2]} unanswered"
     return None

@@ -326,12 +326,18 @@ def _subterms(t):
 
 def _assert_index_is_definitional(c):
     """The numbering a construction derived for ``c`` against the one
-    rebuilt from its decoded family, and equality and hashing against that
-    rebuilt structure."""
-    rebuilt = ConfStruct(c.events, c.configs, c.labels)
+    rebuilt from its decoded family; its retractions, least sizes and
+    largest size against those read off that family; and equality and
+    hashing against the rebuilt structure."""
+    family = c.configs
+    rebuilt = ConfStruct(c.events, family, c.labels)
     assert c.tags == rebuilt.tags and c.tag_labels == rebuilt.tag_labels
-    assert c.exts == rebuilt.exts and c.rets == rebuilt.rets
-    assert c.depths == rebuilt.depths and c.max_card == rebuilt.max_card
+    assert c.exts == rebuilt.exts
+    assert c.rets == {c.mask_of(x): tuple(sorted(
+        c.bit[e] for e in x if x - {e} in family)) for x in family}
+    assert c.depths == tuple(min((len(x) for x in family if e in x), default=None)
+                             for e in c.tags)
+    assert c.max_card == max(map(len, family))
     assert c == rebuilt and rebuilt == c and hash(c) == hash(rebuilt)
 
 

@@ -9,9 +9,9 @@ import pytest
 from corpus import (corpus_pairs, enumerated_terms, expansion_pair, law_pair,
                     random_terms)
 from revccs.cli import main
-from revccs.confstruct import ConfStruct, bits, causal_order
-from revccs.syntax import (HOLE, all_names, collapse, instantiate, parse,
-                           parse_context, unparse)
+from revccs.confstruct import ConfStruct, bits, causal_order, parallel
+from revccs.syntax import (HOLE, NIL, all_names, collapse, instantiate,
+                           parse, parse_context, unparse)
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          normalize, reachable_states)
@@ -490,3 +490,16 @@ def test_discriminate_decodes_no_configuration(monkeypatch, capsys):
                  "--max-events", "40"]) == 1
     assert "context: 'b.0 + c_2.0 | (b.0 + c_1.0 | [·])" in capsys.readouterr().out
     assert calls == {}
+
+
+def test_struct_games_derive_nothing_on_products():
+    # the barbed and forward games on structures read extensions alone, so
+    # the products that context synthesis plays them on never derive their
+    # retractions, depths or largest size
+    s1, s2 = encode_ccs(SYNC_2), encode_ccs(SYNC_2_EXPANDED)
+    t = encode_ccs(instantiate(synthesize_context(SYNC_2, SYNC_2_EXPANDED), NIL))
+    products = parallel(t, s1), parallel(t, s2)
+    assert not barbed_bf_bisim_structs(*products).related
+    forward_bisim_structs(*products)
+    for c in products:
+        assert (c._rets, c._depths, c._max_card) == (None, None, None)
