@@ -390,7 +390,7 @@ def _rooted(*operands: ConfStruct) -> None:
 def product(c1: ConfStruct, c2: ConfStruct,
             pair_label: Callable = PairLabel) -> ProductResult:
     """Synchronous product, with its projections read off the event pairs
-    (see ``_product`` for the construction)."""
+    (see ``ProductSteps`` and ``_product`` for the construction)."""
     struct = _product(c1, c2, pair_label)
     return ProductResult(struct, *(
         Morphism(struct, c, {e: e[i] for e in struct.tags
@@ -398,68 +398,103 @@ def product(c1: ConfStruct, c2: ConfStruct,
         for i, c in ((1, c1), (2, c2))))
 
 
-def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct:
-    """The synchronous product of two structures.
+class _Moves(dict):
+    """A product side's moves alone, as product bits, per configuration."""
+
+    def __init__(self, c: ConfStruct):
+        self.exts, self.alone = c.exts, [None] * len(c.tags)
+
+    def __missing__(self, m: int) -> list:
+        moves = self[m] = [self.alone[e] for e in self.exts[m]]
+        return moves
+
+
+class ProductSteps:
+    """The synchronous product of two structures: its events, numbered
+    before growth, and the one step that grows its configurations.
 
     Events are ("x", e1, e2), e1 or e2 None when absent, a pair (a
     ``SyncEvent``) labelled by ``pair_label`` of the two labels; pairs it
-    labels killed are left out.
-    The events are numbered before growth, in ``repr`` order: each live
-    event of either side alone and each live pair not killed.  Each lies in
-    some configuration: grow its side (both, for a pair) up to
-    configurations its components extend, then add it.  A configuration is
-    a mask grown from the empty one with its projection masks m1 and m2:
-    its extensions are e1 alone, e2 alone and their pair, for e1 in
-    ``c1.exts[m1]`` and e2 in ``c2.exts[m2]``, so growth records
-    extensions as it goes, and the events it reaches.
+    labels killed are left out.  The numbering, in ``repr`` order, holds
+    each live event of either side alone and each live pair not killed;
+    ``proj1`` and ``proj2`` map each to its components' bits.  The
+    extensions of a configuration with projection masks m1 and m2 are e1
+    alone, e2 alone and their pair, for e1 in ``c1.exts[m1]`` and e2 in
+    ``c2.exts[m2]`` (``step``).  ``_product`` steps every configuration,
+    context synthesis only those that silent moves reach (``ext``).
     """
-    _rooted(c1, c2)
-    labels1, labels2 = c1.tag_labels, c2.tag_labels
-    live1 = [a for a, d in enumerate(c1.depths) if d is not None]
-    live2 = [b for b, d in enumerate(c2.depths) if d is not None]
-    found = ([(a, None, labels1[a]) for a in live1]
-             + [(None, b, labels2[b]) for b in live2])
-    by_label2: dict = {}
-    for b in live2:
-        by_label2.setdefault(labels2[b], []).append(b)
-    for a in live1:
-        for label2, right in by_label2.items():
-            label = pair_label(labels1[a], label2)
-            if label is not KILLED:
-                found.extend((a, b, label) for b in right)
-    # sorted by each tag's repr, spelled out from its components' reprs
-    reprs1 = [repr(e) for e in c1.tags] + ["None"]
-    reprs2 = [repr(e) for e in c2.tags] + ["None"]
-    found.sort(key=lambda t: f"('x', {reprs1[-1 if t[0] is None else t[0]]}, "
-                             f"{reprs2[-1 if t[1] is None else t[1]]})")
-    tags = tuple(("x", c1.tags[a], None) if b is None
-                 else ("x", None, c2.tags[b]) if a is None
-                 else SyncEvent(("x", c1.tags[a], c2.tags[b]))
-                 for a, b, _ in found)
-    number = {(a, b): k for k, (a, b, _) in enumerate(found)}
-    proj1 = [0 if a is None else 1 << a for a, _, _ in found]
-    proj2 = [0 if b is None else 1 << b for _, b, _ in found]
-    pairs: list = [{} for _ in c1.tags]        # e1 bit -> e2 bit -> product bit
-    for (a, b), k in number.items():
-        if a is not None and b is not None:
-            pairs[a][b] = k
-    # the moves of each side alone, from each of its configurations
-    moves1 = {m1: [number[a, None] for a in ext] for m1, ext in c1.exts.items()}
-    moves2 = {m2: [number[None, b] for b in ext] for m2, ext in c2.exts.items()}
-    paired = any(pairs)
+
+    def __init__(self, c1: ConfStruct, c2: ConfStruct, pair_label: Callable):
+        _rooted(c1, c2)
+        labels1, labels2 = c1.tag_labels, c2.tag_labels
+        live1 = [a for a, d in enumerate(c1.depths) if d is not None]
+        live2 = [b for b, d in enumerate(c2.depths) if d is not None]
+        found = ([(a, None, labels1[a]) for a in live1]
+                 + [(None, b, labels2[b]) for b in live2])
+        by_label2: dict = {}
+        for b in live2:
+            by_label2.setdefault(labels2[b], []).append(b)
+        for a in live1:
+            for label2, right in by_label2.items():
+                label = pair_label(labels1[a], label2)
+                if label is not KILLED:
+                    found.extend((a, b, label) for b in right)
+        # sorted by each tag's repr, spelled out from its components' reprs
+        reprs1 = [repr(e) for e in c1.tags] + ["None"]
+        reprs2 = [repr(e) for e in c2.tags] + ["None"]
+        found.sort(key=lambda t: f"('x', {reprs1[-1 if t[0] is None else t[0]]}, "
+                                 f"{reprs2[-1 if t[1] is None else t[1]]})")
+        self.c1, self.c2 = c1, c2
+        self.tags = tuple(("x", c1.tags[a], None) if b is None
+                          else ("x", None, c2.tags[b]) if a is None
+                          else SyncEvent(("x", c1.tags[a], c2.tags[b]))
+                          for a, b, _ in found)
+        self.tag_labels = tuple(label for _, _, label in found)
+        self.proj1 = [0 if a is None else 1 << a for a, _, _ in found]
+        self.proj2 = [0 if b is None else 1 << b for _, b, _ in found]
+        self.moves = moves1, moves2 = _Moves(c1), _Moves(c2)
+        pairs: list = [{} for _ in c1.tags]     # e1 bit -> e2 bit -> product bit
+        for k, (a, b, _) in enumerate(found):
+            if b is None:
+                moves1.alone[a] = k
+            elif a is None:
+                moves2.alone[b] = k
+            else:
+                pairs[a][b] = k
+        self.pairs = pairs if any(pairs) else None
+
+    def step(self, m1: int, m2: int) -> tuple:
+        """The product bits, ascending, that extend a configuration with
+        projection masks ``m1`` and ``m2``."""
+        moves1, moves2 = self.moves
+        step = moves1[m1] + moves2[m2]
+        if self.pairs:
+            ext2 = self.c2.exts[m2]
+            for a in self.c1.exts[m1]:
+                row = self.pairs[a]
+                if row:
+                    step.extend(row[b] for b in ext2 if b in row)
+        step.sort()
+        return tuple(step)
+
+    def ext(self, m: int) -> tuple:
+        """The extensions of configuration ``m``, which projects each side's
+        events one-to-one: its projection masks sum its bits'."""
+        ks = bits(m)
+        return self.step(sum(self.proj1[k] for k in ks), sum(self.proj2[k] for k in ks))
+
+
+def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct:
+    """The synchronous product, stepped from the empty configuration up.
+    Each numbered event lies in some configuration: grow its side (both,
+    for a pair) up to configurations its components extend, then add it."""
+    g = ProductSteps(c1, c2, pair_label)
+    proj1, proj2 = g.proj1, g.proj2
     exts, seen, live = {}, {0}, 0
     frontier = [(0, 0, 0)]
     while frontier:
         m, m1, m2 = frontier.pop()
-        step = moves1[m1] + moves2[m2]
-        if paired:
-            ext2 = c2.exts[m2]
-            for a in c1.exts[m1]:
-                row = pairs[a]
-                if row:
-                    step.extend(row[b] for b in ext2 if b in row)
-        step.sort()
-        exts[m] = tuple(step)
+        step = exts[m] = g.step(m1, m2)
         for k in step:
             n = m | 1 << k
             if n not in seen:
@@ -467,8 +502,7 @@ def _product(c1: ConfStruct, c2: ConfStruct, pair_label: Callable) -> ConfStruct
                 live |= n
                 frontier.append((n, m1 | proj1[k], m2 | proj2[k]))
     # restricted to the live events growth reached, if it missed any
-    return ConfStruct._built(
-        tags, tuple(label for _, _, label in found), exts).restricted(live)
+    return ConfStruct._built(g.tags, g.tag_labels, exts).restricted(live)
 
 
 def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
@@ -559,6 +593,11 @@ def parallel(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
     and e2 extend, then adds the pair (a kept e1 or e2 alone likewise).
     """
     return _product(c1, c2, _sync_pair)
+
+
+def parallel_steps(c1: ConfStruct, c2: ConfStruct) -> ProductSteps:
+    """``parallel``'s numbering and step, for a driver that grows part of it."""
+    return ProductSteps(c1, c2, _sync_pair)
 
 
 def residual(c: ConfStruct, x: frozenset) -> ConfStruct:

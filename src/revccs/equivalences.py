@@ -26,7 +26,7 @@ from collections import defaultdict
 from itertools import groupby
 from typing import Optional
 
-from .confstruct import ConfStruct, bits, parallel
+from .confstruct import ConfStruct, bits, parallel_steps
 from .syntax import (Context, HOLE, NIL, Par, Prefix, Process, Record, Restrict,
                      Sum, all_names, fresh_name, free_names, inp, instantiate,
                      unparse)
@@ -429,24 +429,31 @@ def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
     the two start terms, are named in witnesses.
 
     Every move is silent, so only the configurations that silent extensions
-    reach from the empty one are numbered.  Silent retractions stay among
-    them: under the axioms ``validate`` checks, every configuration is
-    reached from the empty one by single events.  Bisimilarity depends only
-    on what moves reach, so this part answers, witness included, as the
-    whole graph does.
+    reach from the empty one are numbered, and only their extensions read.
+    Silent retractions stay among them: under the axioms ``validate``
+    checks, every configuration is reached from the empty one by single
+    events.  Bisimilarity depends only on what moves reach, so this part
+    answers, witness included, as the whole graph does.
     """
+    return _silent_game([(c.tag_labels, c.exts.__getitem__) for c in (c1, c2)],
+                        starts)
+
+
+def _silent_game(sides, starts=None) -> EquivalenceVerdict:
+    """``barbed_bf_bisim_structs`` on two sides, each its labels by bit and
+    its extension reader: a configuration mask to its extensions' bits."""
     barbs: list = []
     succ: list = []                     # silent moves forward
     begin, ids = [], {}
-    for c in (c1, c2):
+    for labels, ext in sides:
         # per event: 0 if silent, else a bit
         barb = [0 if action.is_tau else 1 << ids.setdefault(action, len(ids))
-                for action in c.tag_labels]
+                for action in labels]
         base = len(barbs)
         number, reached = {0: base}, [0]
         for m in reached:               # numbered in the order found
             seen, moves = 0, []
-            for e in c.exts[m]:
+            for e in ext(m):
                 if barb[e]:
                     seen |= barb[e]
                 else:
@@ -558,10 +565,11 @@ def synthesize_context(p1: Process, p2: Process) -> Optional[Context]:
     for tester in sorted(testers, key=lambda c: (len(c), tuple(map(str, c)))):
         ctx = _candidate(tester, taken)
         # ctx[p] is structurally congruent to ctx[0] | p, so the two denote
-        # isomorphic structures: the game plays on the cached tester beside
-        # each process, and no call reads the two products again
+        # isomorphic structures: the game plays on the tester beside each
+        # process, each product grown only where silent moves reach
         t = encode_ccs(instantiate(ctx, NIL))
-        if not barbed_bf_bisim_structs(parallel(t, s1), parallel(t, s2)).related:
+        steps = parallel_steps(t, s1), parallel_steps(t, s2)
+        if not _silent_game([(g.tag_labels, g.ext) for g in steps]).related:
             return ctx
     return None
 

@@ -126,21 +126,24 @@ def out(channel: str) -> Action:
 # ---------------------------------------------------------------------------
 # Terms
 
-class Nil(Record):
+class _Term(Record):
+    """A term or context, printed as ``unparse`` renders it."""
+
     __slots__ = ()
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-class Prefix(Record):
+class Nil(_Term):
+    __slots__ = ()
+
+
+class Prefix(_Term):
     __slots__ = ("action", "body")
 
-    def __str__(self) -> str:
-        return unparse(self)
 
-
-class Sum(Record):
+class Sum(_Term):
     """Binary sum of guarded branches; n-ary sums are right-nested."""
 
     __slots__ = ("left", "right")
@@ -150,31 +153,19 @@ class Sum(Record):
             if not isinstance(branch, (Prefix, Sum, Hole)):
                 raise ValueError(f"unguarded sum branch: {branch!r}")
 
-    def __str__(self) -> str:
-        return unparse(self)
 
-
-class Par(Record):
+class Par(_Term):
     __slots__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return unparse(self)
 
-
-class Restrict(Record):
+class Restrict(_Term):
     __slots__ = ("name", "body")
 
-    def __str__(self) -> str:
-        return unparse(self)
 
-
-class Hole(Record):
+class Hole(_Term):
     """The unique hole of a context."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return "[·]"
 
 
 CcsTerm = Union[Nil, Prefix, Sum, Par, Restrict]
@@ -231,14 +222,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("out"):
-            tokens.append(("out", m.group("out")[1:], m.start("out")))
-        elif m.group("hole"):
-            tokens.append(("hole", m.group("hole"), m.start("hole")))
-        else:
-            tokens.append((m.group("punct"), m.group("punct"), m.start("punct")))
+        kind = m.lastgroup          # punctuation is its own kind
+        value = m.group(kind)
+        tokens.append((value if kind == "punct" else kind,
+                       value[1:] if kind == "out" else value, m.start(kind)))
         pos = m.end()
     return tokens
 
@@ -294,34 +281,23 @@ class _Parser:
             if not self.allow_hole:
                 raise ParseError("hole not allowed in a process", pos)
             return HOLE
-        if kind == "name" and value == "tau":
-            self.next()
-            self.expect(".")
-            return Prefix(TAU, self.parse_factor())
-        if kind == "name":
-            self.next()
-            self.expect(".")
-            return Prefix(inp(value), self.parse_factor())
-        if kind == "out":
-            if value == "tau":
+        if kind in ("name", "out"):
+            if kind == "out" and value == "tau":
                 raise ParseError("tau is not a channel name", pos)
             self.next()
             self.expect(".")
-            return Prefix(out(value), self.parse_factor())
+            action = TAU if value == "tau" else (inp if kind == "name" else out)(value)
+            return Prefix(action, self.parse_factor())
         if kind == "(":
             if self.peek(1)[0] == "name" and self.peek(2)[0] == ")" and self.peek(1)[1] != "tau":
                 self.next()
                 name = self.next()[1]
                 self.next()
                 return Restrict(name, self.parse_factor())
+        if kind in ("(", "{"):
             self.next()
             inner = self.parse_process()
-            self.expect(")")
-            return inner
-        if kind == "{":
-            self.next()
-            inner = self.parse_process()
-            self.expect("}")
+            self.expect(")" if kind == "(" else "}")
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
@@ -392,35 +368,24 @@ def unparse(t) -> str:
 # ---------------------------------------------------------------------------
 # Structural helpers
 
-def free_names(t) -> frozenset[str]:
+def free_names(t, bound: bool = False) -> frozenset[str]:
+    """The free channel names of ``t``; with ``bound``, the bound ones too."""
     if isinstance(t, (Nil, Hole)):
         return frozenset()
     if isinstance(t, Prefix):
-        base = free_names(t.body)
-        if t.action.channel is not None:
-            base = base | {t.action.channel}
-        return base
+        names = free_names(t.body, bound)
+        return names if t.action.is_tau else names | {t.action.channel}
     if isinstance(t, (Sum, Par)):
-        return free_names(t.left) | free_names(t.right)
+        return free_names(t.left, bound) | free_names(t.right, bound)
     if isinstance(t, Restrict):
-        return free_names(t.body) - {t.name}
+        names = free_names(t.body, bound)
+        return names | {t.name} if bound else names - {t.name}
     raise TypeError(f"not a term: {t!r}")
 
 
 def all_names(t) -> frozenset[str]:
     """Every channel name occurring in ``t``, bound or free."""
-    if isinstance(t, (Nil, Hole)):
-        return frozenset()
-    if isinstance(t, Prefix):
-        base = all_names(t.body)
-        if t.action.channel is not None:
-            base = base | {t.action.channel}
-        return base
-    if isinstance(t, (Sum, Par)):
-        return all_names(t.left) | all_names(t.right)
-    if isinstance(t, Restrict):
-        return all_names(t.body) | {t.name}
-    raise TypeError(f"not a term: {t!r}")
+    return free_names(t, bound=True)
 
 
 def rename_free(t, old: str, new: str):

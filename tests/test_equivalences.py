@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from revccs.syntax import (HOLE, NIL, all_names, collapse, instantiate,
 from revccs.encoding import encode_ccs
 from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
                          normalize, reachable_states)
-from revccs import equivalences
+from revccs import confstruct, equivalences
 from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  barbed_bf_bisim_structs,
                                  barbed_bf_bisim_terms, build_stratification,
@@ -30,6 +31,14 @@ C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
 C3 = encode_ccs(parse("a.0 + a.b.0"))
 C4 = encode_ccs(parse("a.b.0 + a.b.0"))
+
+# sync-2 against sync-2' (its last pair expanded) and three parallel silent
+# steps kept apart: causes to map, and many bijections between equal labels
+SYNC_2 = parse("a.0 | 'a.0 | b.0 | 'b.0")
+SYNC_2_EXPANDED = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
+TAUS_3 = collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)
+SYNC_4 = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | d.0 | 'd.0"
+SYNC_4_EXPANDED = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | {d.'d.0 + 'd.d.0 + tau.0}"
 
 
 class TestStratification:
@@ -212,6 +221,110 @@ def test_synthesis_matches_refining_reference():
             _reference_synthesis(p1, p2)), (unparse(p1), unparse(p2))
 
 
+def _full_product_synthesis(p1, p2):
+    """``synthesize_context`` with each candidate played, in the same order,
+    on the two whole products ``parallel(t, s1)`` and ``parallel(t, s2)``:
+    the reference for growing them only where silent moves reach."""
+    s1, s2 = encode_ccs(p1), encode_ccs(p2)
+    if not barbed_bf_bisim_structs(s1, s2).related:
+        return HOLE
+    taken = all_names(p1) | all_names(p2)
+    testers = set()
+    for struct in (s1, s2):
+        labels = struct.tag_labels
+        for m in struct.exts:
+            tester = tuple(sorted((labels[i] for i in bits(m)
+                                   if not labels[i].is_tau), key=str))
+            if 0 < len(tester) <= MAX_FACTORS:
+                testers.add(tester)
+    for tester in sorted(testers, key=lambda c: (len(c), tuple(map(str, c)))):
+        ctx = _candidate(tester, taken)
+        t = encode_ccs(instantiate(ctx, NIL))
+        if not barbed_bf_bisim_structs(parallel(t, s1), parallel(t, s2)).related:
+            return ctx
+    return None
+
+
+def _synthesis_pairs():
+    """The corpus, every unordered pair of 40 random terms, law and
+    expansion-law pairs, and sync-2 against sync-2'."""
+    return (corpus_pairs()
+            + list(itertools.combinations(random_terms(40, seed=7), 2))
+            + [law_pair(seed)[:2] for seed in range(80)]
+            + [expansion_pair(seed) for seed in range(30)]
+            + [(SYNC_2, SYNC_2_EXPANDED)])
+
+
+def test_synthesis_matches_full_product_games():
+    for p1, p2 in _synthesis_pairs():
+        assert synthesize_context(p1, p2) == _full_product_synthesis(p1, p2), (
+            unparse(p1), unparse(p2))
+
+
+def test_synthesis_finds_a_context_exactly_for_unrelated_pairs():
+    # both halves of the theorem, for the tester family: a context for every
+    # HHPB-unrelated pair, none for a related one
+    related = 0
+    for p1, p2 in _synthesis_pairs():
+        hh = hhpb(encode_ccs(p1), encode_ccs(p2)).related
+        related += hh
+        assert (synthesize_context(p1, p2) is None) == hh, (unparse(p1),
+                                                             unparse(p2))
+    assert related == 26 + 80           # corpus pairs, 25 of them t against t, and laws
+    sync_3 = parse("a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0")
+    assert synthesize_context(sync_3, sync_3) is None
+    ctx = synthesize_context(parse(SYNC_4), parse(SYNC_4_EXPANDED))
+    assert unparse(ctx) == "'d.0 + c_2.0 | (d.0 + c_1.0 | [·])"
+
+
+def test_candidate_games_step_only_what_they_reach(monkeypatch):
+    # discriminate on sync-4 against sync-4': the candidate games step each
+    # product configuration they reach once (2,136 of the 2,168 nodes the 31
+    # games play; the bare hole's game plays the denotations themselves), and
+    # whole products are grown only to encode (the processes and testers);
+    # growing every candidate product stepped about 397,000 configurations
+    grown, stepped, reached, played = [], [], [], []
+    encoding = encode_ccs.__wrapped__.__code__
+
+    def encoding_now():
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not encoding:
+            frame = frame.f_back
+        return frame is not None
+
+    def product(c1, c2, pair_label):
+        grown.append(encoding_now())
+        return full(c1, c2, pair_label)
+
+    def step(self, m1, m2):
+        if not encoding_now():
+            stepped.append((m1, m2))
+        return step_of(self, m1, m2)
+
+    def ext(self, m):
+        reached.append((self, m))       # kept alive, so ids stay apart
+        return ext_of(self, m)
+
+    def game(barbs, *rest):
+        played.append(len(barbs))
+        return _barbed_game(barbs, *rest)
+
+    full, step_of, ext_of = (confstruct._product, confstruct.ProductSteps.step,
+                             confstruct.ProductSteps.ext)
+    encode_ccs.cache_clear()
+    hhpb.cache_clear()
+    monkeypatch.setattr(confstruct, "_product", product)
+    monkeypatch.setattr(confstruct.ProductSteps, "step", step)
+    monkeypatch.setattr(confstruct.ProductSteps, "ext", ext)
+    monkeypatch.setattr(equivalences, "_barbed_game", game)
+    assert main(["discriminate", SYNC_4, SYNC_4_EXPANDED,
+                 "--max-events", "40"]) == 1
+    assert len(played) == 31 and sum(played) == 2168
+    assert len({(id(g), m) for g, m in reached}) == len(reached) == 2136
+    assert len(stepped) == len(reached) == sum(played[1:])
+    assert grown and all(grown)
+
+
 class TestCongruence:
     def test_family_shape(self):
         fam = default_context_family(parse("a.0"), parse("b.0"))
@@ -377,11 +490,10 @@ def test_barbed_game_numbers_the_silent_part(monkeypatch):
         return _barbed_game(barbs, *rest)
 
     monkeypatch.setattr(equivalences, "_barbed_game", counted)
-    sync_4 = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | d.0 | 'd.0"
-    assert main(["check", sync_4, sync_4, "--equiv", "barbed",
+    assert main(["check", SYNC_4, SYNC_4, "--equiv", "barbed",
                  "--max-events", "16"]) == 0
     assert played == [32]
-    assert len(encode_ccs(parse(sync_4)).exts) == 625
+    assert len(encode_ccs(parse(SYNC_4)).exts) == 625
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +521,6 @@ def _reference_triples(c1, c2):
     return preserving, reflecting
 
 
-# sync-2 against sync-2' (its last pair expanded) and three parallel silent
-# steps kept apart: causes to map, and many bijections between equal labels
-SYNC_2 = parse("a.0 | 'a.0 | b.0 | 'b.0")
-SYNC_2_EXPANDED = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
-TAUS_3 = collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)
 
 
 def test_triples_match_reference_on_corpus():
