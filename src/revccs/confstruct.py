@@ -90,12 +90,12 @@ class ConfStruct:
     ``restricted``).  Everything else follows from them and is computed on
     first read: the family ``configs``, the retractions ``rets`` (laid out
     as ``exts``), each event's least configuration size ``depths`` and the
-    largest one ``max_card``, cause masks and order sizes.  Equality and
+    largest one ``max_card``, and cause masks.  Equality and
     hashing read the numbering: equal structures number events alike.
     """
 
     __slots__ = ("tags", "tag_labels", "exts", "_bit", "_events", "_configs",
-                 "_rets", "_depths", "_max_card", "_hash", "_causes", "_sizes")
+                 "_rets", "_depths", "_max_card", "_hash", "_causes")
 
     def __init__(self, events: Iterable, configs: Iterable, labels: dict):
         events = frozenset(events)
@@ -120,7 +120,7 @@ class ConfStruct:
     def _fill(self, tags, tag_labels, exts):
         # in slot order; the memos start unset
         for name, value in zip(self.__slots__, (tags, tag_labels, exts) + (None,) * 7
-                               + ({}, {})):
+                               + ({},)):
             _set(self, name, value)
 
     @classmethod
@@ -268,24 +268,17 @@ class ConfStruct:
         event of y is a cause.  This recurrence assumes stability;
         ``validate`` keeps the definition, which catches unstable structures.
         """
-        key = (y, e)
+        key = y << len(self.tags).bit_length() | e
         found = self._causes.get(key)
         if found is None:
-            j = next((j for j in self.rets[y] if j != e), None)
-            if j is None:
-                found = y & ~(1 << e)
+            for j in self.rets[y]:
+                if j != e:
+                    found = self.causes(y ^ 1 << j, e)
+                    break
             else:
-                found = self.causes(y ^ 1 << j, e)
+                found = y & ~(1 << e)
             self._causes[key] = found
         return found
-
-    def order_size(self, y: int) -> int:
-        """The number of strict cause pairs in configuration ``y``."""
-        size = self._sizes.get(y)
-        if size is None:
-            size = self._sizes[y] = sum(self.causes(y, e).bit_count()
-                                        for e in bits(y))
-        return size
 
 
 EMPTY = ConfStruct((), (frozenset(),), {})

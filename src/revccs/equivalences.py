@@ -12,11 +12,12 @@ searched for among testers read off the configurations of either
 denotation, each verified in the barbed game.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
-configurations are masks of event bits, a history-preserving triple is
-(m1, m2, f) with the bijection f packed into one slot per left event, and
-the bisimulation games refine dense int graphs.  Only the public results
-(``hhpb_relation``, ``build_stratification``, the oracle's game) are
-decoded back to frozensets.
+configurations are masks of event bits, a history-preserving triple is keyed
+by its bijection f, packed into one slot per left event, which fixes both
+configurations (held beside it as one int, with a bit marking the
+isomorphisms), and the bisimulation games refine dense int graphs.  Only
+the public results (``hhpb_relation``, ``build_stratification``, the
+oracle's game) are decoded back to frozensets.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class BoundExceeded(RuntimeError):
     """The oracle refuses structures beyond its configured size."""
 
 
-_EMPTY_TRIPLE = (0, 0, 0)
-
-
 class EquivalenceVerdict(Record, frozen=False, defaults={
         "failing_stratum": None, "witness": None, "context": None}):
     # failing_stratum: ("F", i) or ("B", i)
@@ -54,54 +52,70 @@ class EquivalenceVerdict(Record, frozen=False, defaults={
 
 
 # ---------------------------------------------------------------------------
-# Triples (m1, m2, f) over the two structures' event bits: m1 and m2 are
-# configurations, and f a label- and order-preserving bijection m1 -> m2
-# packed into one slot per left event, holding one plus its image's bit
+# Triples over the two structures' event bits: a label- and order-preserving
+# bijection f: m1 -> m2 packed into one slot per left event, holding one plus
+# its image's bit.  f fixes m1 and m2, so triples are a dict f -> m1 | iso |
+# m2 << high, m1 in the bits of ``left`` and the bit ``iso`` just above them
+# marking an isomorphism; the empty triple is 0 -> iso.
 
 class _Game:
     """The two structures one decision compares, their retraction tables,
-    the slot width of a packed bijection, and for each left event the mask
-    of the right events with its label."""
+    the slot width of a packed bijection, the mask ``left``, the bit ``iso``
+    and the shift ``high`` that lay out a triple's value, and for each left
+    event the mask of the right events with its label."""
 
-    __slots__ = ("c1", "c2", "width", "slot", "match", "rets1", "rets2")
+    __slots__ = ("c1", "c2", "width", "slot", "left", "iso", "high", "match",
+                 "rets1", "rets2")
 
     def __init__(self, c1: ConfStruct, c2: ConfStruct):
         self.c1, self.c2 = c1, c2
         self.rets1, self.rets2 = c1.rets, c2.rets
         self.width = len(c2.tags).bit_length()
         self.slot = (1 << self.width) - 1
+        self.iso = 1 << len(c1.tags)
+        self.left, self.high = self.iso - 1, len(c1.tags) + 1
         self.match = [sum(1 << b for b, label2 in enumerate(c2.tag_labels)
                           if label1 == label2)
                       for label1 in c1.tag_labels]
 
-    def decode(self, triple) -> tuple:
-        """The triple as (left configuration, right one, frozen bijection)."""
-        m1, m2, f = triple
-        tags1, tags2 = self.c1.tags, self.c2.tags
-        return (self.c1.config(m1), self.c2.config(m2), frozenset(
-            (tags1[a], tags2[(f >> a * self.width & self.slot) - 1])
-            for a in bits(m1)))
+    def decode(self, f: int) -> tuple:
+        """The triple keyed by ``f`` as (left configuration, right one,
+        frozen bijection)."""
+        w, tags1, tags2 = self.width, self.c1.tags, self.c2.tags
+        fs = frozenset((tags1[a], tags2[(f >> a * w & self.slot) - 1])
+                       for a in range(len(tags1)) if f >> a * w & self.slot)
+        return frozenset(a for a, _ in fs), frozenset(b for _, b in fs), fs
 
 
-def _all_triples(g: _Game) -> set:
+def _all_triples(g: _Game) -> dict:
     """Every order-preserving triple, grown from the empty triple by matched
-    extensions: e1 of m1 pairs with e2 of m2 when their labels agree and f
-    maps every cause of e1 below e2.  That suffices for f to stay
-    order-preserving: the order of m1 | {e1} restricted to m1 is that of m1,
-    and e1 lies below no event of m1.
+    extensions, each marked as an isomorphism or not.
 
-    Nothing is missed when both structures are stable and finitely complete.
-    Pull back a covering chain of m2 along f: each prefix is down-closed in
-    m1, hence a configuration whose causal order is that of m1 restricted to
-    it, so the chain's pull-back grows the triple one matched pair at a time.
+    e1 of m1 pairs with e2 of m2 when their labels agree and f maps every
+    cause of e1 below e2.  That suffices for f to stay order-preserving: the
+    order of m1 | {e1} restricted to m1 is that of m1, and e1 lies below no
+    event of m1.  Nothing is missed when both structures are stable and
+    finitely complete.  Pull back a covering chain of m2 along f: each
+    prefix is down-closed in m1, hence a configuration whose causal order is
+    that of m1 restricted to it, so the chain's pull-back grows the triple
+    one matched pair at a time.
+
+    The grown triple is an isomorphism iff the parent is one and f maps e1's
+    causes onto all of e2's.  The orders of m1 | {e1} and m2 | {e2} are those
+    of m1 and m2 (restrictions, as above) plus the pairs below the added
+    event, which is maximal; the extended bijection reflects both parts iff
+    f reflects the first and the cause images fill the second.  So every
+    parent of a triple gives it the same flag, whichever grows it first.
     """
     exts1, exts2 = g.c1.exts, g.c2.exts
     causes1, causes2 = g.c1.causes, g.c2.causes
     width, slot, match = g.width, g.slot, g.match
-    triples = {_EMPTY_TRIPLE}
-    frontier = [_EMPTY_TRIPLE]
+    left, iso, high = g.left, g.iso, g.high
+    triples, frontier = {0: iso}, [0]
     while frontier:
-        m1, m2, f = frontier.pop()
+        f = frontier.pop()
+        ms = triples[f]
+        m1, m2 = ms & left, ms >> high
         ext2 = exts2[m2]
         for e1 in exts1[m1]:
             y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
@@ -109,71 +123,55 @@ def _all_triples(g: _Game) -> set:
             for d in bits(causes1(y1, e1)):
                 image |= 1 << (f >> d * width & slot) - 1
             for e2 in ext2:
-                if row >> e2 & 1:
+                t = f | (e2 + 1) << shift
+                if row >> e2 & 1 and t not in triples:
                     y2 = m2 | 1 << e2
-                    t = (y1, y2, f | (e2 + 1) << shift)
-                    if t not in triples and not image & ~causes2(y2, e2):
-                        triples.add(t)
+                    below = causes2(y2, e2)
+                    if not image & ~below:
+                        triples[t] = y1 | y2 << high | ms & iso * (image == below)
                         frontier.append(t)
     return triples
 
 
-def _isomorphisms(g: _Game, triples):
-    """The triples whose bijection also reflects the causal order, lazily.
-
-    A preserving bijection maps the left order's pairs one-to-one into the
-    right order's, so it reflects the order iff the two have equal size.
-    """
-    size1, size2 = g.c1.order_size, g.c2.order_size
-    return (t for t in triples if size1(t[0]) == size2(t[1]))
-
-
-def _forth_ok(triple, g: _Game, reference) -> Optional[str]:
-    m1, m2, f = triple
-    ext1, ext2 = g.c1.exts[m1], g.c2.exts[m2]
+def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
+    ext1, ext2 = g.c1.exts[ms & g.left], g.c2.exts[ms >> g.high]
     width, match = g.width, g.match
     for e1 in ext1:
-        y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
+        shift, row = e1 * width, match[e1]
         for e2 in ext2:
-            if row >> e2 & 1 and (y1, m2 | 1 << e2,
-                                  f | (e2 + 1) << shift) in reference:
+            if row >> e2 & 1 and f | (e2 + 1) << shift in reference:
                 break
         else:
             return f"left extension {g.c1.tag_labels[e1]} unanswered"
     for e2 in ext2:
-        y2 = m2 | 1 << e2
         for e1 in ext1:
-            if match[e1] >> e2 & 1 and (m1 | 1 << e1, y2,
-                                        f | (e2 + 1) << e1 * width) in reference:
+            if match[e1] >> e2 & 1 and f | (e2 + 1) << e1 * width in reference:
                 break
         else:
             return f"right extension {g.c2.tag_labels[e2]} unanswered"
     return None
 
 
-def _back_ok(triple, g: _Game, reference) -> Optional[str]:
+def _back_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
     """A right retraction whose preimage is no left retraction leaves no
     configuration on the left, so only left retractions need a lookup."""
-    m1, m2, f = triple
-    width, slot = g.width, g.slot
-    images = 0
-    for e1 in g.rets1[m1]:
+    width, slot, images = g.width, g.slot, 0
+    for e1 in g.rets1[ms & g.left]:
         shift = e1 * width
-        e2 = (f >> shift & slot) - 1
-        images |= 1 << e2
-        if (m1 ^ 1 << e1, m2 ^ 1 << e2, f & ~(slot << shift)) not in reference:
+        images |= 1 << (f >> shift & slot) - 1
+        if f & ~(slot << shift) not in reference:
             return f"left retraction {g.c1.tag_labels[e1]} unanswered"
-    for e2 in g.rets2[m2]:
+    for e2 in g.rets2[ms >> g.high]:
         if not images >> e2 & 1:
             return f"right retraction {g.c2.tag_labels[e2]} unanswered"
     return None
 
 
-def _by_size(triples, top: int) -> list:
-    """``triples`` as layers 0..top, layer i holding those of size i."""
-    layers = [set() for _ in range(top + 1)]
-    for t in triples:
-        layers[t[0].bit_count()].add(t)
+def _by_size(g: _Game, triples, top: int) -> list:
+    """``triples``, pairs (f, configurations), as dicts by size 0..top."""
+    layers = [{} for _ in range(top + 1)]
+    for f, ms in triples:
+        layers[(ms & g.left).bit_count()][f] = ms
     return layers
 
 
@@ -189,12 +187,14 @@ def _strata(g: _Game, layers: list) -> tuple:
     a pass that removes nothing copies no layer; returns (forth, back).
     """
     forth = layers
-    for i in range(len(forth) - 2, -1, -1):
-        forth[i] -= {t for t in forth[i] if _forth_ok(t, g, forth[i + 1])}
+    for layer, above in zip(forth[-2::-1], forth[:0:-1]):
+        for f in [f for f, ms in layer.items() if _forth_ok(f, ms, g, above)]:
+            del layer[f]
     back = forth[:1]
     for layer in forth[1:]:
-        failed = {t for t in layer if _back_ok(t, g, back[-1])}
-        back.append(layer - failed if failed else layer)
+        failed = {f for f, ms in layer.items() if _back_ok(f, ms, g, back[-1])}
+        back.append({f: ms for f, ms in layer.items() if f not in failed}
+                    if failed else layer)
     return forth, back
 
 
@@ -205,17 +205,18 @@ def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
     """The maximal back-and-forth history-preserving bisimulation, as the
     set of surviving triples (x1, x2, frozen bijection)."""
     g = _Game(c1, c2)
-    return {g.decode(t) for layer in _hhpb_gfp(g, _all_triples(g))
-            for t in layer}
+    return {g.decode(f) for layer in _hhpb_gfp(g, _all_triples(g))
+            for f in layer}
 
 
-def _hhpb_gfp(g: _Game, triples) -> list:
+def _hhpb_gfp(g: _Game, triples: dict) -> list:
     """The maximal relation by size, from layered passes over the isomorphism
     triples until the backward half removes nothing: the forward and
     backward layers then agree, so their union answers every challenge, and
     no pass removes a triple of a bisimulation.  The empty layer above the
     largest removes the top triples that still have an extension."""
-    layers = _by_size(_isomorphisms(g, triples), g.c1.max_card + 1)
+    layers = _by_size(g, ((f, ms) for f, ms in triples.items() if ms & g.iso),
+                      g.c1.max_card + 1)
     while True:
         forth, back = _strata(g, layers)
         if sum(map(len, forth)) == sum(map(len, back)):
@@ -235,13 +236,14 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     g = _Game(c1, c2)
     triples = _all_triples(g)
     layers = _hhpb_gfp(g, triples)
-    if _EMPTY_TRIPLE in layers[0]:
+    if 0 in layers[0]:                  # the empty triple
         return EquivalenceVerdict(True)
-    stratum, witness = _diagnose(g, *_strata(g, _by_size(triples, c1.max_card)))
+    stratum, witness = _diagnose(
+        g, *_strata(g, _by_size(g, triples.items(), c1.max_card)))
     # the empty triple has no retractions: had all its forward challenges
     # been answered, the relation would not be maximal
     return EquivalenceVerdict(
-        False, stratum, witness or _forth_ok(_EMPTY_TRIPLE, g, layers[1]))
+        False, stratum, witness or _forth_ok(0, 0, g, layers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +273,15 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     g = _Game(c1, c2)
     return StratifiedRelation(c1.max_card, *(
         [set(map(g.decode, layer)) for layer in layers]
-        for layers in _strata(g, _by_size(_all_triples(g), c1.max_card))))
+        for layers in _strata(g, _by_size(g, _all_triples(g).items(),
+                                          c1.max_card))))
 
 
 def _diagnose(g: _Game, forth: list, back: list):
     """Least stratum whose layers, ``_strata``'s, exclude some left
     configuration."""
-    covers = [[{t[0] for t in layer} for layer in layers] for layers in (forth, back)]
+    covers = [[{ms & g.left for ms in layer.values()} for layer in layers]
+              for layers in (forth, back)]
     for i, layer in groupby(g.c1.ordered(), int.bit_count):
         layer = list(layer)
         for backward, word in ((False, "forward"), (True, "backward")):
@@ -294,17 +298,20 @@ def _diagnose(g: _Game, forth: list, back: list):
 # Game-graph oracle: same game, decided by attacker-win propagation
 
 def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
-    """Independent decision of the history-preserving game.
+    """The history-preserving game decided on an explicit game graph.
 
-    Builds the bipartite challenge/response graph explicitly and propagates
-    attacker wins by the standard attractor computation; the defender wins
-    every infinite play.
+    Builds the bipartite challenge/response graph and propagates attacker
+    wins by the standard attractor computation; the defender wins every
+    infinite play.  Its triples and isomorphism flags come from
+    ``_all_triples``, as ``hhpb``'s do, so it checks the fixpoint; the
+    tests check the growth by brute force.
     """
     if len(c1.events) + len(c2.events) > bound:
         raise BoundExceeded(
             f"{len(c1.events)} + {len(c2.events)} events exceed bound {bound}")
     game = _Game(c1, c2)
-    triples = {game.decode(t) for t in _isomorphisms(game, _all_triples(game))}
+    triples = {game.decode(f) for f, ms in _all_triples(game).items()
+               if ms & game.iso}
     empty = (frozenset(), frozenset(), frozenset())
 
     def challenges(t):

@@ -313,7 +313,6 @@ def test_index_matches_definitions():
             for e, below in causes.items():
                 assert c.causes(m, c.bit[e]) == sum(
                     1 << c.bit[d] for d in below), (unparse(t), x, e)
-            assert c.order_size(m) == sum(map(len, causes.values()))
 
 
 def _subterms(t):

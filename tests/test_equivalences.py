@@ -25,7 +25,7 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
                                  MAX_FACTORS, _Game, _all_triples,
-                                 _barbed_game, _candidate, _isomorphisms)
+                                 _barbed_game, _candidate)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -521,19 +521,55 @@ def _reference_triples(c1, c2):
     return preserving, reflecting
 
 
-
-
 def test_triples_match_reference_on_corpus():
-    for p1, p2 in corpus_pairs() + [(SYNC_2, SYNC_2_EXPANDED),
-                                    (TAUS_3, TAUS_3)]:
+    # growth against the brute-force triples: every preserving triple, its
+    # key the bijection and its value both configurations, and the
+    # isomorphism bit set during growth against the definitional
+    # reflecting set, on the synthesis pairs and three parallel silent steps
+    for p1, p2 in _synthesis_pairs() + [(TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
         game = _Game(s1, s2)
         triples = _all_triples(game)
-        assert set(map(game.decode, triples)) == preserving, (
-            unparse(p1), unparse(p2))
-        assert set(map(game.decode, _isomorphisms(game, triples))) == (
-            reflecting), (unparse(p1), unparse(p2))
+        pair = (unparse(p1), unparse(p2))
+        assert set(map(game.decode, triples)) == preserving, pair
+        for f, ms in triples.items():
+            x1, x2, _ = game.decode(f)
+            assert ms & ~game.iso == (
+                s1.mask_of(x1) | s2.mask_of(x2) << len(s1.tags) + 1), pair
+        assert {game.decode(f) for f, ms in triples.items()
+                if ms & game.iso} == reflecting, pair
+
+
+def _sync(n: int, expand_last: bool = False):
+    """``a.0 | 'a.0 | ...`` over n channels; with ``expand_last`` the last
+    pair becomes its expansion ``{x.'x.0 + 'x.x.0 + tau.0}``."""
+    parts = [f"{x}.0 | '{x}.0" for x in "abcd"[:n]]
+    if expand_last:
+        x = "abcd"[n - 1]
+        parts[-1] = f"{{{x}.'{x}.0 + '{x}.{x}.0 + tau.0}}"
+    return collapse(parse(" | ".join(parts)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hhpb_on_sync_family(n):
+    # sync-n is related to itself; against sync-n' it fails at backward
+    # stratum 2, on the left configuration of the last pair's two concurrent
+    # events, which the expansion only offers one after the other
+    sync = encode_ccs(_sync(n))
+    assert hhpb(sync, sync) == EquivalenceVerdict(True)
+    x = "abcd"[n - 1]
+    assert hhpb(sync, encode_ccs(_sync(n, True))) == EquivalenceVerdict(
+        False, ("B", 2),
+        f"configuration {{'{x},{x}}} unmatched in backward stratum 2")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_hhpb_on_taus_family(n):
+    # n parallel silent steps kept apart: every bijection between two
+    # configurations of one size is an isomorphism, so every triple is one
+    taus = encode_ccs(collapse(parse(" | ".join(["tau.0"] * n)), par_rule=False))
+    assert hhpb(taus, taus) == EquivalenceVerdict(True)
 
 
 def _swept_relation(c1, c2, reflecting):
