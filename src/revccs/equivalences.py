@@ -1,30 +1,29 @@
 """Behavioural equivalences over configuration structures and terms.
 
 Three deciders live here: hereditary history-preserving bisimulation on
-structures (triples grown from the empty triple, then layered passes by size
-that give both the maximal relation and the strata of the diagnosis,
-cross-checked by an explicit game-graph oracle), back-and-forth barbed
-bisimulation and plain forward bisimulation, both played on configuration
-graphs, the barbed game on only the configurations that silent moves reach;
-the barbed game on reversible terms is kept as the operational reference.
-When the history-preserving game fails, a discriminating context is
-searched for among testers read off the configurations of either
-denotation, each verified in the barbed game.
+structures (triples grown from the empty triple into layers by size, then
+layered passes that give the maximal relation and, built only up to the
+failing stratum, the strata of the diagnosis, cross-checked by an explicit
+game-graph oracle), back-and-forth barbed bisimulation and plain forward
+bisimulation, both played on configuration graphs, the barbed game on only
+the configurations that silent moves reach; the barbed game on reversible
+terms is kept as the operational reference.  When the history-preserving
+game fails, a discriminating context is searched for among testers read off
+the configurations of either denotation, each verified in the barbed game.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is keyed
 by its bijection f, packed into one slot per left event, which fixes both
 configurations (held beside it as one int, with a bit marking the
-isomorphisms), and the bisimulation games refine dense int graphs.  Only
-the public results (``hhpb_relation``, ``build_stratification``, the
-oracle's game) are decoded back to frozensets.
+isomorphisms, in the dict of its left size), and the bisimulation games
+refine dense int graphs.  Only the public results (``hhpb_relation``,
+``build_stratification``, the oracle's game) are decoded back to frozensets.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from itertools import groupby
 from typing import Optional
 
 from .confstruct import ConfStruct, bits, parallel_steps
@@ -54,9 +53,10 @@ class EquivalenceVerdict(Record, frozen=False, defaults={
 # ---------------------------------------------------------------------------
 # Triples over the two structures' event bits: a label- and order-preserving
 # bijection f: m1 -> m2 packed into one slot per left event, holding one plus
-# its image's bit.  f fixes m1 and m2, so triples are a dict f -> m1 | iso |
-# m2 << high, m1 in the bits of ``left`` and the bit ``iso`` just above them
-# marking an isomorphism; the empty triple is 0 -> iso.
+# its image's bit.  f fixes m1 and m2, so a set of triples of one left size
+# is a dict f -> m1 | iso | m2 << high, m1 in the bits of ``left`` and the
+# bit ``iso`` just above them marking an isomorphism, and a set of triples
+# is a list of such layers by size; the empty triple is 0 -> iso.
 
 class _Game:
     """The two structures one decision compares, their retraction tables,
@@ -87,9 +87,9 @@ class _Game:
         return frozenset(a for a, _ in fs), frozenset(b for _, b in fs), fs
 
 
-def _all_triples(g: _Game) -> dict:
+def _all_triples(g: _Game) -> list:
     """Every order-preserving triple, grown from the empty triple by matched
-    extensions, each marked as an isomorphism or not.
+    extensions and marked as an isomorphism or not, in layers by left size.
 
     e1 of m1 pairs with e2 of m2 when their labels agree and f maps every
     cause of e1 below e2.  That suffices for f to stay order-preserving: the
@@ -107,30 +107,45 @@ def _all_triples(g: _Game) -> dict:
     f reflects the first and the cause images fill the second.  So every
     parent of a triple gives it the same flag, whichever grows it first.
     """
-    exts1, exts2 = g.c1.exts, g.c2.exts
-    causes1, causes2 = g.c1.causes, g.c2.causes
+    c1, c2, exts1, exts2 = g.c1, g.c2, g.c1.exts, g.c2.exts
+    # ``ConfStruct.causes`` memoises under y << k | e; a hit costs one lookup
+    memo1, k1 = c1._causes, len(c1.tags).bit_length()
+    memo2, k2 = c2._causes, len(c2.tags).bit_length()
     width, slot, match = g.width, g.slot, g.match
     left, iso, high = g.left, g.iso, g.high
-    triples, frontier = {0: iso}, [0]
-    while frontier:
-        f = frontier.pop()
-        ms = triples[f]
-        m1, m2 = ms & left, ms >> high
-        ext2 = exts2[m2]
-        for e1 in exts1[m1]:
-            y1, shift, row = m1 | 1 << e1, e1 * width, match[e1]
-            image = 0                   # the right events f maps e1's causes to
-            for d in bits(causes1(y1, e1)):
-                image |= 1 << (f >> d * width & slot) - 1
+    layers = [{0: iso}]
+    for _ in range(c1.max_card):
+        grown = {}
+        for f, ms in layers[-1].items():
+            m1, m2 = ms & left, ms >> high
+            ext2 = exts2[m2]
+            every = 0                   # the right extensions' bits
             for e2 in ext2:
-                t = f | (e2 + 1) << shift
-                if row >> e2 & 1 and t not in triples:
+                every |= 1 << e2
+            for e1 in exts1[m1]:
+                row = match[e1] & every
+                if not row:
+                    continue
+                shift, image = e1 * width, None
+                for e2 in ext2 if row == every else bits(row):
+                    t = f | (e2 + 1) << shift
+                    if t in grown:      # grown from another parent
+                        continue
+                    if image is None:   # the right events f maps e1's causes to
+                        y1, image = m1 | 1 << e1, 0
+                        below = memo1.get(y1 << k1 | e1)
+                        if below is None:
+                            below = c1.causes(y1, e1)
+                        for d in bits(below):
+                            image |= 1 << (f >> d * width & slot) - 1
                     y2 = m2 | 1 << e2
-                    below = causes2(y2, e2)
+                    below = memo2.get(y2 << k2 | e2)
+                    if below is None:
+                        below = c2.causes(y2, e2)
                     if not image & ~below:
-                        triples[t] = y1 | y2 << high | ms & iso * (image == below)
-                        frontier.append(t)
-    return triples
+                        grown[t] = y1 | y2 << high | ms & iso * (image == below)
+        layers.append(grown)
+    return layers
 
 
 def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
@@ -154,48 +169,44 @@ def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
 
 def _back_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
     """A right retraction whose preimage is no left retraction leaves no
-    configuration on the left, so only left retractions need a lookup."""
+    configuration on the left, so only left retractions need a lookup; once
+    they are answered their images are right retractions, so counting them
+    tells whether some right one is left over."""
     width, slot, images = g.width, g.slot, 0
     for e1 in g.rets1[ms & g.left]:
         shift = e1 * width
         images |= 1 << (f >> shift & slot) - 1
         if f & ~(slot << shift) not in reference:
             return f"left retraction {g.c1.tag_labels[e1]} unanswered"
-    for e2 in g.rets2[ms >> g.high]:
-        if not images >> e2 & 1:
-            return f"right retraction {g.c2.tag_labels[e2]} unanswered"
+    rets2 = g.rets2[ms >> g.high]
+    if len(rets2) != images.bit_count():
+        for e2 in rets2:
+            if not images >> e2 & 1:
+                return f"right retraction {g.c2.tag_labels[e2]} unanswered"
     return None
 
 
-def _by_size(g: _Game, triples, top: int) -> list:
-    """``triples``, pairs (f, configurations), as dicts by size 0..top."""
-    layers = [{} for _ in range(top + 1)]
-    for f, ms in triples:
-        layers[(ms & g.left).bit_count()][f] = ms
+def _forth(g: _Game, layers: list) -> list:
+    """The forward half of a layered pass over ``layers`` (triples by size),
+    filtered in place from the top down: each layer keeps the triples whose
+    forward challenges are answered in the layer above, the top one whole."""
+    for layer, above in zip(layers[-2::-1], layers[:0:-1]):
+        for f in [f for f, ms in layer.items() if _forth_ok(f, ms, g, above)]:
+            del layer[f]
     return layers
 
 
-def _strata(g: _Game, layers: list) -> tuple:
-    """One layered pass of the game over ``layers`` (triples by size).
-
-    Forward layers run from the top down: each keeps the triples whose
-    forward challenges are answered in the layer above, and the top layer is
-    kept whole.  Backward layers run from the bottom up: each keeps the
-    triples of its forward layer whose retractions are answered in the
-    backward layer below.  ``layers`` is filtered in place into the forward
-    layers, and a backward layer that loses nothing is its forward layer, so
-    a pass that removes nothing copies no layer; returns (forth, back).
-    """
-    forth = layers
-    for layer, above in zip(forth[-2::-1], forth[:0:-1]):
-        for f in [f for f, ms in layer.items() if _forth_ok(f, ms, g, above)]:
-            del layer[f]
-    back = forth[:1]
+def _back(g: _Game, forth: list):
+    """The backward half of a layered pass, yielded from the bottom up: each
+    layer keeps the triples of its forward layer whose retractions are
+    answered in the layer below, and is that forward layer if it loses none."""
+    below = forth[0]
+    yield below
     for layer in forth[1:]:
-        failed = {f for f, ms in layer.items() if _back_ok(f, ms, g, back[-1])}
-        back.append({f: ms for f, ms in layer.items() if f not in failed}
-                    if failed else layer)
-    return forth, back
+        failed = {f for f, ms in layer.items() if _back_ok(f, ms, g, below)}
+        below = ({f: ms for f, ms in layer.items() if f not in failed}
+                 if failed else layer)
+        yield below
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +220,19 @@ def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
             for f in layer}
 
 
-def _hhpb_gfp(g: _Game, triples: dict) -> list:
-    """The maximal relation by size, from layered passes over the isomorphism
-    triples until the backward half removes nothing: the forward and
-    backward layers then agree, so their union answers every challenge, and
-    no pass removes a triple of a bisimulation.  The empty layer above the
-    largest removes the top triples that still have an extension."""
-    layers = _by_size(g, ((f, ms) for f, ms in triples.items() if ms & g.iso),
-                      g.c1.max_card + 1)
+def _hhpb_gfp(g: _Game, layers: list) -> list:
+    """The maximal relation by size, from layered passes over a copy of the
+    isomorphism triples in ``layers`` until the backward half removes nothing:
+    the forward and backward layers then agree, so their union answers every
+    challenge, and no pass removes a triple of a bisimulation.  The empty
+    layer above the largest removes the top triples that still extend."""
+    layers = [{f: ms for f, ms in layer.items() if ms & g.iso}
+              for layer in layers] + [{}]
     while True:
-        forth, back = _strata(g, layers)
-        if sum(map(len, forth)) == sum(map(len, back)):
-            return back
-        layers = back
+        forth = _forth(g, layers)
+        layers = list(_back(g, forth))
+        if sum(map(len, forth)) == sum(map(len, layers)):
+            return layers
 
 
 @functools.lru_cache(maxsize=1024)
@@ -234,16 +245,14 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     the shallowest excluded configuration.
     """
     g = _Game(c1, c2)
-    triples = _all_triples(g)
-    layers = _hhpb_gfp(g, triples)
-    if 0 in layers[0]:                  # the empty triple
+    layers = _all_triples(g)
+    # the empty triple has no retractions: the maximal relation holds it iff
+    # its forward challenges are answered there, or it would not be maximal
+    fallback = _forth_ok(0, 0, g, _hhpb_gfp(g, layers)[1])
+    if fallback is None:
         return EquivalenceVerdict(True)
-    stratum, witness = _diagnose(
-        g, *_strata(g, _by_size(g, triples.items(), c1.max_card)))
-    # the empty triple has no retractions: had all its forward challenges
-    # been answered, the relation would not be maximal
-    return EquivalenceVerdict(
-        False, stratum, witness or _forth_ok(0, 0, g, layers[1]))
+    stratum, witness = _diagnose(g, _forth(g, layers))
+    return EquivalenceVerdict(False, stratum, witness or fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +280,26 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
     retractions land in backward layer i-1.
     """
     g = _Game(c1, c2)
+    forth = _forth(g, _all_triples(g))
     return StratifiedRelation(c1.max_card, *(
         [set(map(g.decode, layer)) for layer in layers]
-        for layers in _strata(g, _by_size(g, _all_triples(g).items(),
-                                          c1.max_card))))
+        for layers in (forth, _back(g, forth))))
 
 
-def _diagnose(g: _Game, forth: list, back: list):
-    """Least stratum whose layers, ``_strata``'s, exclude some left
-    configuration."""
-    covers = [[{ms & g.left for ms in layer.values()} for layer in layers]
-              for layers in (forth, back)]
-    for i, layer in groupby(g.c1.ordered(), int.bit_count):
-        layer = list(layer)
-        for backward, word in ((False, "forward"), (True, "backward")):
+def _diagnose(g: _Game, forth: list):
+    """Least stratum whose layers, ``forth`` and the backward layers built
+    from it only as far as that stratum, exclude some left configuration."""
+    strata, back = [[] for _ in forth], _back(g, forth)
+    for m1 in g.c1.ordered():
+        strata[m1.bit_count()].append(m1)
+    for i, layer in enumerate(strata):
+        for side, word in (("F", "forward"), ("B", "backward")):
+            triples = forth[i] if side == "F" else next(back)
+            covered = {ms & g.left for ms in triples.values()}
             for m1 in layer:
-                if m1 not in covers[backward][i]:
+                if m1 not in covered:
                     names = sorted(str(g.c1.tag_labels[e]) for e in bits(m1))
-                    return (("B" if backward else "F", i),
+                    return ((side, i),
                             "configuration {" + ",".join(names) + "} "
                             f"unmatched in {word} stratum {i}")
     return None, None
@@ -310,8 +321,8 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
         raise BoundExceeded(
             f"{len(c1.events)} + {len(c2.events)} events exceed bound {bound}")
     game = _Game(c1, c2)
-    triples = {game.decode(f) for f, ms in _all_triples(game).items()
-               if ms & game.iso}
+    triples = {game.decode(f) for layer in _all_triples(game)
+               for f, ms in layer.items() if ms & game.iso}
     empty = (frozenset(), frozenset(), frozenset())
 
     def challenges(t):

@@ -25,7 +25,8 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
                                  MAX_FACTORS, _Game, _all_triples,
-                                 _barbed_game, _candidate)
+                                 _barbed_game, _candidate, _forth_ok,
+                                 _hhpb_gfp)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -522,21 +523,27 @@ def _reference_triples(c1, c2):
 
 
 def test_triples_match_reference_on_corpus():
-    # growth against the brute-force triples: every preserving triple, its
-    # key the bijection and its value both configurations, and the
-    # isomorphism bit set during growth against the definitional
-    # reflecting set, on the synthesis pairs and three parallel silent steps
+    # growth against the brute-force triples: every preserving triple, in
+    # the layer of its left size, its key the bijection and its value both
+    # configurations, and the isomorphism bit set during growth against the
+    # definitional reflecting set, on the synthesis pairs and three parallel
+    # silent steps
     for p1, p2 in _synthesis_pairs() + [(TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
         game = _Game(s1, s2)
-        triples = _all_triples(game)
+        layers = _all_triples(game)
         pair = (unparse(p1), unparse(p2))
+        assert len(layers) == s1.max_card + 1, pair
+        triples = {f: ms for layer in layers for f, ms in layer.items()}
+        assert sum(map(len, layers)) == len(triples), pair
         assert set(map(game.decode, triples)) == preserving, pair
-        for f, ms in triples.items():
-            x1, x2, _ = game.decode(f)
-            assert ms & ~game.iso == (
-                s1.mask_of(x1) | s2.mask_of(x2) << len(s1.tags) + 1), pair
+        for size, layer in enumerate(layers):
+            for f, ms in layer.items():
+                x1, x2, _ = game.decode(f)
+                assert len(x1) == size, pair
+                assert ms & ~game.iso == (
+                    s1.mask_of(x1) | s2.mask_of(x2) << game.high), pair
         assert {game.decode(f) for f, ms in triples.items()
                 if ms & game.iso} == reflecting, pair
 
@@ -562,6 +569,77 @@ def test_hhpb_on_sync_family(n):
     assert hhpb(sync, encode_ccs(_sync(n, True))) == EquivalenceVerdict(
         False, ("B", 2),
         f"configuration {{'{x},{x}}} unmatched in backward stratum 2")
+
+
+def test_growth_asks_each_cause_mask_once(monkeypatch):
+    # growth reads cause masks from each structure's memo and calls
+    # ``ConfStruct.causes`` only on a miss: on sync-4 against sync-4' the
+    # left structure's top-level calls are at most its 2,500 distinct
+    # (configuration, event) keys (one call per triple and left extension
+    # made 5,528), and no key twice; the recursion inside ``causes`` is not
+    # counted
+    calls, keys, depth = collections.Counter(), collections.Counter(), [0]
+    causes = ConfStruct.causes
+
+    def counted(self, y, e):
+        if not depth[0]:
+            calls[id(self)] += 1
+            keys[id(self), y, e] += 1
+        depth[0] += 1
+        try:
+            return causes(self, y, e)
+        finally:
+            depth[0] -= 1
+
+    encode_ccs.cache_clear()
+    hhpb.cache_clear()
+    s1, s2 = encode_ccs(_sync(4)), encode_ccs(_sync(4, True))
+    monkeypatch.setattr(ConfStruct, "causes", counted)
+    assert not hhpb(s1, s2).related
+    # each key is an extension: a configuration and an event it may add
+    assert sum(map(len, s1.exts.values())) == 2500
+    assert 0 < calls[id(s1)] <= 2500
+    assert 0 < calls[id(s2)] <= sum(map(len, s2.exts.values()))
+    assert set(keys.values()) == {1}
+
+
+def _least_failing_stratum(s1, s2):
+    """The least stratum whose complete layers, ``build_stratification``'s,
+    miss a left configuration (forward before backward, configurations in
+    ``ordered()`` order), with its witness; (None, None) if none does."""
+    strata = build_stratification(s1, s2)
+    for i, layer in itertools.groupby(s1.ordered(), int.bit_count):
+        configs = [s1.config(m) for m in layer]
+        for side, word, layers in (("F", "forward", strata.forth),
+                                   ("B", "backward", strata.back)):
+            covered = {x1 for x1, _, _ in layers[i]}
+            for x1 in configs:
+                if x1 not in covered:
+                    names = ",".join(sorted(str(s1.label(e)) for e in x1))
+                    return ((side, i), f"configuration {{{names}}} "
+                            f"unmatched in {word} stratum {i}")
+    return None, None
+
+
+def test_lazy_diagnosis_matches_full_stratification():
+    # hhpb diagnoses on the grown layers and builds backward layers only up
+    # to the failing stratum; its stratum and witness are those of the
+    # complete stratification, or, where no stratum misses a configuration,
+    # the empty triple's unanswered challenge in the maximal relation
+    pairs = (_synthesis_pairs() + [(_sync(n), _sync(n, True)) for n in (2, 3, 4)]
+             + [(TAUS_3, TAUS_3)])
+    seen = collections.Counter()
+    for p1, p2 in pairs:
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        verdict = hhpb(s1, s2)
+        expected = _least_failing_stratum(s1, s2)
+        if expected == (None, None) and not verdict.related:
+            g = _Game(s1, s2)
+            expected = (None, _forth_ok(0, 0, g, _hhpb_gfp(g, _all_triples(g))[1]))
+        seen[verdict.related, expected[0] is None] += 1
+        assert (verdict.failing_stratum, verdict.witness) == expected, (
+            unparse(p1), unparse(p2))
+    assert seen[False, False] and seen[False, True] and seen[True, True]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
