@@ -25,8 +25,8 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
                                  MAX_FACTORS, _Game, _all_triples,
-                                 _barbed_game, _candidate, _forth_ok,
-                                 _hhpb_gfp)
+                                 _back, _barbed_game, _candidate, _forth,
+                                 _forth_ok, _hhpb_gfp)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
 C2 = encode_ccs(parse("a.b.0 + b.a.0"))
@@ -522,12 +522,26 @@ def _reference_triples(c1, c2):
     return preserving, reflecting
 
 
+def _lost_triples(c1, c2, reflecting):
+    """The reflecting triples with a left or right extension that no
+    reflecting triple answers."""
+    def lost(triple):
+        x1, x2, fs = triple
+        ext1, ext2 = c1.extensions(x1), c2.extensions(x2)
+        answered = {(e1, e2) for e1 in ext1 for e2 in ext2
+                    if (x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in reflecting}
+        return ({e1 for e1, _ in answered} != set(ext1)
+                or {e2 for _, e2 in answered} != set(ext2))
+    return set(filter(lost, reflecting))
+
+
 def test_triples_match_reference_on_corpus():
     # growth against the brute-force triples: every preserving triple, in
     # the layer of its left size, its key the bijection and its value both
-    # configurations, and the isomorphism bit set during growth against the
-    # definitional reflecting set, on the synthesis pairs and three parallel
-    # silent steps
+    # configurations, the isomorphism bit set during growth against the
+    # definitional reflecting set, and the lost bit against the reflecting
+    # triples with an unanswered extension, on the synthesis pairs and three
+    # parallel silent steps
     for p1, p2 in _synthesis_pairs() + [(TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
@@ -542,10 +556,12 @@ def test_triples_match_reference_on_corpus():
             for f, ms in layer.items():
                 x1, x2, _ = game.decode(f)
                 assert len(x1) == size, pair
-                assert ms & ~game.iso == (
+                assert ms & ~(game.iso | game.lost) == (
                     s1.mask_of(x1) | s2.mask_of(x2) << game.high), pair
         assert {game.decode(f) for f, ms in triples.items()
                 if ms & game.iso} == reflecting, pair
+        assert {game.decode(f) for f, ms in triples.items()
+                if ms & game.lost} == _lost_triples(s1, s2, reflecting), pair
 
 
 def _sync(n: int, expand_last: bool = False):
@@ -648,6 +664,86 @@ def test_hhpb_on_taus_family(n):
     # configurations of one size is an isomorphism, so every triple is one
     taus = encode_ccs(collapse(parse(" | ".join(["tau.0"] * n)), par_rule=False))
     assert hhpb(taus, taus) == EquivalenceVerdict(True)
+
+
+def _fixpoint_pairs():
+    """The synthesis pairs, sync-n against itself and against sync-n' for
+    n = 2-4, and three parallel silent steps."""
+    return (_synthesis_pairs()
+            + [(_sync(n), other) for n in (2, 3, 4)
+               for other in (_sync(n), _sync(n, True))]
+            + [(TAUS_3, TAUS_3)])
+
+
+def test_retraction_preimages_are_retractions():
+    # the lemma in ``_back_ok``: for every grown triple, each right
+    # retraction's preimage is a left retraction, so one backward half over
+    # the grown isomorphism triples removes nothing
+    for p1, p2 in _fixpoint_pairs():
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        g = _Game(s1, s2)
+        layers = _all_triples(g)
+        pair = (unparse(p1), unparse(p2))
+        for layer in layers:
+            for f, ms in layer.items():
+                m1, m2 = ms & g.left, ms >> g.high
+                preimage = {(f >> e1 * g.width & g.slot) - 1: e1
+                            for e1 in bits(m1)}
+                rets2 = {preimage[e2] for e2 in s2.rets[m2]}
+                assert rets2 <= set(s1.rets[m1]), pair
+        isos = [{f: ms for f, ms in layer.items() if ms & g.iso}
+                for layer in layers]
+        assert list(map(len, _back(g, isos))) == list(map(len, isos)), pair
+
+
+def _layered_gfp(g, layers):
+    """``_hhpb_gfp`` as whole layered passes, each checking every layer
+    forward and then backward, over a copy of every isomorphism triple until
+    the backward half removes nothing: the reference for starting from what
+    growth marked lost and re-checking only layers next to a removal."""
+    layers = [{f: ms for f, ms in layer.items() if ms & g.iso}
+              for layer in layers] + [{}]
+    while True:
+        forth = _forth(g, layers)
+        layers = list(_back(g, forth))
+        if sum(map(len, forth)) == sum(map(len, layers)):
+            return layers
+
+
+def test_fixpoint_matches_layered_passes():
+    taus = [collapse(parse(" | ".join(["tau.0"] * n)), par_rule=False)
+            for n in (4, 5, 6)]
+    for p1, p2 in _fixpoint_pairs() + [(t, t) for t in taus]:
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        g = _Game(s1, s2)
+        layers = _all_triples(g)
+        assert list(map(set, _hhpb_gfp(g, layers))) == list(
+            map(set, _layered_gfp(g, layers))), (unparse(p1), unparse(p2))
+
+
+def test_fixpoint_rechecks_only_layers_next_to_a_removal(monkeypatch):
+    # growth answers every forward challenge of taus-n, so hhpb checks only
+    # the empty triple's (the fallback witness) and no retraction; on sync-4
+    # against itself it checks fewer triples than whole layered passes did
+    # (1,918 forward and 1,447 backward checks)
+    calls = collections.Counter()
+    for name in ("_forth_ok", "_back_ok"):
+        def counted(*args, name=name, check=getattr(equivalences, name)):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(equivalences, name, counted)
+    for n in (3, 4, 5, 6):
+        taus = encode_ccs(collapse(parse(" | ".join(["tau.0"] * n)),
+                                   par_rule=False))
+        calls.clear()
+        hhpb.cache_clear()
+        assert hhpb(taus, taus).related
+        assert calls == {"_forth_ok": 1}, n
+    sync = encode_ccs(_sync(4))
+    calls.clear()
+    hhpb.cache_clear()
+    assert hhpb(sync, sync).related
+    assert calls["_forth_ok"] < 1918 and calls["_back_ok"] < 1447
 
 
 def _swept_relation(c1, c2, reflecting):
