@@ -20,10 +20,9 @@ from .rccs import (Fork, FORK, Past, Monitored, RPar, RRestrict, RTerm,
                    TransitionLabel, IncoherentTerm, lift, erase, normalize,
                    forward_steps, backward_steps, is_coherent, origin,
                    trace_to_origin, barb, barbs, reachable_states, state_key,
-                   ccs_steps, ccs_state_key)
+                   ccs_state_key)
 from .encoding import (encode_ccs, encode_rccs, address, Address,
-                       ContextProjection, project, NoMatchingEvent,
-                       AmbiguousEvent, CorrespondenceFailure,
+                       NoMatchingEvent, AmbiguousEvent, CorrespondenceFailure,
                        check_operational_correspondence)
 from .equivalences import (EquivalenceVerdict, StratifiedRelation, hhpb,
                            hhpb_relation, hhpb_oracle, BoundExceeded,

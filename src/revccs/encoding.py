@@ -11,10 +11,10 @@ import functools
 from typing import Optional
 
 from . import confstruct as cs
-from .confstruct import ConfStruct, Morphism
-from .syntax import (Hole, Nil, Par, Prefix, Process, Record, Restrict, Sum,
-                     count_holes, instantiate, is_collapsed, push_restrictions,
-                     unparse, detect_auto_conflict_or_concurrency)
+from .confstruct import ConfStruct
+from .syntax import (Nil, Par, Prefix, Process, Record, Restrict, Sum,
+                     is_collapsed, push_restrictions, unparse,
+                     detect_auto_conflict_or_concurrency)
 from .rccs import (RTerm, _sorted_process, backward_steps, erase,
                    forward_steps, normalize, state_key, trace_to_origin)
 
@@ -106,53 +106,6 @@ def encode_rccs(t: RTerm, strict: bool = True) -> Address:
     struct = encode_ccs(origin_p)
     x = address(struct, list(zip(labels, states[1:])))
     return Address(struct, origin_p, x)
-
-
-# ---------------------------------------------------------------------------
-# Context projection: the partial event map from the structure of a filled
-# context onto the structure of the plugged process.
-
-class ContextProjection(Record):
-    # the denotation of the filled context, that of the plugged process,
-    # and the map from the first onto the second
-    __slots__ = ("whole", "part", "map")
-
-
-def project(context: Process, p: Process) -> ContextProjection:
-    whole = encode_ccs(instantiate(context, p))
-    inner = encode_ccs(p)
-    mapping = {}
-    for e in whole.events:
-        target = _project_event(context, p, e)
-        if target is not None and target in inner.events:
-            mapping[e] = target
-    return ContextProjection(whole, inner, Morphism(whole, inner, mapping))
-
-
-def _project_event(c: Process, p: Process, e):
-    if isinstance(c, Hole):
-        return e
-    if isinstance(c, Prefix):
-        inner = encode_ccs(instantiate(c.body, p))
-        outer = encode_ccs(instantiate(c, p))
-        guard = next(iter(outer.events - inner.events))
-        if e == guard:
-            return None
-        return _project_event(c.body, p, e)
-    if isinstance(c, Sum):
-        side, sub = e
-        branch = c.left if side == 1 else c.right
-        if count_holes(branch) == 0:
-            return None
-        return _project_event(branch, p, sub)
-    if isinstance(c, Par):
-        _tag, e1, e2 = e
-        if count_holes(c.left) > 0:
-            return None if e1 is None else _project_event(c.left, p, e1)
-        return None if e2 is None else _project_event(c.right, p, e2)
-    if isinstance(c, Restrict):
-        return _project_event(c.body, p, e)
-    return None
 
 
 # ---------------------------------------------------------------------------

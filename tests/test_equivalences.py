@@ -7,14 +7,14 @@ import sys
 
 import pytest
 
-from corpus import (corpus_pairs, enumerated_terms, expansion_pair, law_pair,
-                    random_terms)
+from corpus import (ccs_steps, corpus_pairs, enumerated_terms, expansion_pair,
+                    law_pair, random_terms)
 from revccs.cli import main
 from revccs.confstruct import ConfStruct, bits, causal_order, parallel
 from revccs.syntax import (HOLE, NIL, all_names, collapse, instantiate,
                            parse, parse_context, unparse)
 from revccs.encoding import encode_ccs
-from revccs.rccs import (ccs_state_key, ccs_steps, forward_steps, lift,
+from revccs.rccs import (ccs_state_key, forward_steps, lift,
                          normalize, reachable_states)
 from revccs import confstruct, equivalences
 from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
@@ -722,28 +722,144 @@ def test_fixpoint_matches_layered_passes():
 
 
 def test_fixpoint_rechecks_only_layers_next_to_a_removal(monkeypatch):
-    # growth answers every forward challenge of taus-n, so hhpb checks only
-    # the empty triple's (the fallback witness) and no retraction; on sync-4
-    # against itself it checks fewer triples than whole layered passes did
-    # (1,918 forward and 1,447 backward checks)
+    # growth answers every forward challenge of taus-n, so deciding the
+    # empty triple on the maximal relation checks only the empty triple's
+    # challenges and no retraction; on sync-4 against itself it checks fewer
+    # triples than whole layered passes did (1,918 forward and 1,447
+    # backward checks)
     calls = collections.Counter()
     for name in ("_forth_ok", "_back_ok"):
         def counted(*args, name=name, check=getattr(equivalences, name)):
             calls[name] += 1
             return check(*args)
         monkeypatch.setattr(equivalences, name, counted)
+
+    def related(c):
+        g = _Game(c, c)
+        return equivalences._forth_ok(0, 0, g, _hhpb_gfp(g, _all_triples(g))[1]) is None
+
     for n in (3, 4, 5, 6):
         taus = encode_ccs(collapse(parse(" | ".join(["tau.0"] * n)),
                                    par_rule=False))
         calls.clear()
-        hhpb.cache_clear()
-        assert hhpb(taus, taus).related
+        assert related(taus)
         assert calls == {"_forth_ok": 1}, n
-    sync = encode_ccs(_sync(4))
     calls.clear()
-    hhpb.cache_clear()
-    assert hhpb(sync, sync).related
+    assert related(encode_ccs(_sync(4)))
     assert calls["_forth_ok"] < 1918 and calls["_back_ok"] < 1447
+
+
+# ---------------------------------------------------------------------------
+# Defender strategies: the certificate of a related pair
+
+def _certificate_fault(c1, c2, triples):
+    """Why ``triples``, each (x1, x2, frozen bijection), is not an HHP
+    bisimulation holding the empty triple, or None if it is one; read off
+    extensions, retractions, causal orders and labels alone."""
+    if (frozenset(), frozenset(), frozenset()) not in triples:
+        return "no empty triple"
+    for x1, x2, fs in triples:
+        f, inverse = dict(fs), {e2: e1 for e1, e2 in fs}
+        if (set(f), set(inverse)) != (x1, x2) or len(f) != len(inverse) or (
+                x1 not in c1.configs or x2 not in c2.configs):
+            return f"{fs} is no bijection between configurations"
+        if any(c1.label(e1) != c2.label(e2) for e1, e2 in fs) or {
+                (f[a], f[b]) for a, b in causal_order(c1, x1)} != causal_order(c2, x2):
+            return f"{fs} is no label- and order-isomorphism"
+        ext1, ext2 = c1.extensions(x1), c2.extensions(x2)
+        answered = {(e1, e2) for e1 in ext1 for e2 in ext2
+                    if (x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in triples}
+        if {e1 for e1, _ in answered} != set(ext1):
+            return f"{fs}: a left extension unanswered"
+        if {e2 for _, e2 in answered} != set(ext2):
+            return f"{fs}: a right extension unanswered"
+        for e1, e2 in [(e1, f[e1]) for e1 in c1.retractions(x1)] + [
+                (inverse[e2], e2) for e2 in c2.retractions(x2)]:
+            if (x1 - {e1}, x2 - {e2}, fs - {(e1, e2)}) not in triples:
+                return f"{fs}: retraction parent missing"
+    return None
+
+
+def _strategy_triples(s1, s2):
+    """The decoded defender strategy on two structures, or None if stuck."""
+    g = _Game(s1, s2)
+    strategy = equivalences._strategy(g)
+    return None if strategy is None else set(map(g.decode, strategy))
+
+
+def _taus(n):
+    return collapse(parse(" | ".join(["tau.0"] * n)), par_rule=False)
+
+
+def _mirror(n):
+    """sync-n with each pair's two sides swapped and the pairs reversed."""
+    return collapse(parse(" | ".join(f"'{x}.0 | {x}.0" for x in "dcba"[4 - n:])))
+
+
+def test_strategy_closes_exactly_on_related_pairs():
+    # the greedy strategy closes on every related pair of the fixpoint
+    # pairs (the synthesis pairs among them), 40 random self-pairs, taus-4..6
+    # and sync-4 against its mirror, and on no unrelated one; the
+    # independent checker accepts every strategy it closes
+    pairs = (_fixpoint_pairs() + [(t, t) for t in random_terms(40, seed=7)]
+             + [(_taus(n), _taus(n)) for n in (4, 5, 6)]
+             + [(_sync(4), _mirror(4)), (_mirror(4), _sync(4))])
+    related = 0
+    for p1, p2 in pairs:
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        g = _Game(s1, s2)
+        maximal = _forth_ok(0, 0, g, _hhpb_gfp(g, _all_triples(g))[1]) is None
+        triples = _strategy_triples(s1, s2)
+        related += maximal
+        assert (triples is not None) == maximal, (unparse(p1), unparse(p2))
+        if triples is not None:
+            assert _certificate_fault(s1, s2, triples) is None, (unparse(p1),
+                                                                 unparse(p2))
+    assert related == 106 + 4 + 40 + 3 + 2
+
+
+def test_certificate_checker_rejects_broken_strategies():
+    # dropping any non-empty triple of the identity strategies on taus-3,
+    # taus-4 and sync-2, or swapping two entries of a bijection, leaves a
+    # challenge unanswered, a retraction parent missing or no isomorphism
+    for p in (_taus(3), _taus(4), _sync(2)):
+        s = encode_ccs(p)
+        triples = _strategy_triples(s, s)
+        assert _certificate_fault(s, s, triples) is None
+        for t in triples:
+            x1, x2, fs = t
+            if not fs:
+                continue
+            assert _certificate_fault(s, s, triples - {t}) is not None, t
+            if len(fs) > 1:
+                (a, b), (c, d) = sorted(fs, key=repr)[:2]
+                swapped = (x1, x2, fs - {(a, b), (c, d)} | {(a, d), (c, b)})
+                assert _certificate_fault(s, s, triples - {t} | {swapped}) is not None, t
+
+
+def test_strategy_needs_backtracking_and_falls_back():
+    # the first a on the left may only be answered by the branch on the
+    # right that ends alike, which the greedy choice cannot see two steps
+    # ahead: the strategy gets stuck, and growth decides the pair related
+    s1, s2 = (encode_ccs(parse(t)) for t in ("a.a.b.0 + a.a.c.0",
+                                             "a.a.c.0 + a.a.b.0"))
+    assert _strategy_triples(s1, s2) is None
+    hhpb.cache_clear()
+    assert hhpb(s1, s2) == EquivalenceVerdict(True)
+
+
+def test_related_families_grow_no_triple(monkeypatch):
+    # taus-n and sync-4 against itself close on the identity strategy, one
+    # triple per configuration, and hhpb grows no triple for them
+    calls = []
+    monkeypatch.setattr(equivalences, "_all_triples",
+                        lambda g: calls.append(g) or _all_triples(g))
+    for p, size in [(_taus(n), 2 ** n) for n in (3, 4, 5, 6)] + [(_sync(4), 625)]:
+        s = encode_ccs(p)
+        assert len(_strategy_triples(s, s)) == size
+        hhpb.cache_clear()
+        assert hhpb(s, s) == EquivalenceVerdict(True)
+    assert calls == []
 
 
 def _swept_relation(c1, c2, reflecting):

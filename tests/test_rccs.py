@@ -2,11 +2,11 @@
 
 import pytest
 
-from corpus import enumerated_terms
+from corpus import ccs_steps, enumerated_terms
 from revccs.syntax import NIL, Prefix, inp, out, parse, unparse
 from revccs.rccs import (FORK, IncoherentTerm, Monitored, Past, RPar,
                          RRestrict, backward_steps, barb, barbs,
-                         ccs_state_key, ccs_steps, erase, forward_steps,
+                         ccs_state_key, erase, forward_steps,
                          is_coherent, lift, normalize, origin,
                          reachable_states, state_key, trace_to_origin)
 
