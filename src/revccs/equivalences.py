@@ -1,24 +1,23 @@
 """Behavioural equivalences over configuration structures and terms.
 
 Three deciders live here: hereditary history-preserving bisimulation on
-structures (related pairs decided strategy-first, by a greedy defender
-strategy from the empty triple; where it gets stuck, triples grown into
-layers by size, then passes re-checking only layers next to a removal give
-the maximal relation and, built only up to the failing stratum, the strata
-of the diagnosis, cross-checked by an explicit game-graph oracle),
-back-and-forth barbed bisimulation and plain forward bisimulation, both
-played on configuration graphs, the barbed game on only the configurations
-that silent moves reach; the barbed game on reversible terms is kept as the
-operational reference.  When the history-preserving game fails, a
-discriminating context is searched for among testers read off the
-configurations of either denotation, each verified in the barbed game.
+structures (a greedy defender strategy decides related pairs; where it gets
+stuck, triples grown into layers by size and filtered by layered passes
+give the strata of the diagnosis and, where no stratum fails, the maximal
+relation, cross-checked by a game-graph oracle), back-and-forth barbed
+bisimulation and plain forward bisimulation, both played on configuration
+graphs, the barbed game on only the configurations that silent moves reach;
+the barbed game on reversible terms is kept as the operational reference.
+When the history-preserving game fails, a discriminating context is
+searched for among testers read off the configurations of either
+denotation, each verified in the barbed game.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is keyed
 by its bijection f, packed into one slot per left event, which fixes both
-configurations (held beside it as one int with the bits ``iso`` and ``lost``,
-in the dict of its left size), and the bisimulation games refine dense int
-graphs.  Only the public results (``hhpb_relation``,
+configurations (held beside it as one int, with a bit marking the
+isomorphisms, in the dict of its left size), and the bisimulation games
+refine dense int graphs.  Only the public results (``hhpb_relation``,
 ``build_stratification``, the oracle's game) are decoded back to frozensets.
 """
 
@@ -56,29 +55,29 @@ class EquivalenceVerdict(Record, frozen=False, defaults={
 # Triples over the two structures' event bits: a label- and order-preserving
 # bijection f: m1 -> m2 packed into one slot per left event, holding one plus
 # its image's bit.  f fixes m1 and m2, so a set of triples of one left size
-# is a dict f -> m1 | iso | lost | m2 << high: m1 in the bits of ``left``,
-# then ``iso``, set on an isomorphism, and ``lost``, set on an isomorphism
-# with a forward challenge that growth found unanswered.  A set of triples
+# is a dict f -> m1 | iso | m2 << high, m1 in the bits of ``left`` and the
+# bit ``iso`` just above them marking an isomorphism, and a set of triples
 # is a list of such layers by size; the empty triple is 0 -> iso.
 
 class _Game:
     """The two structures one decision compares, the left retraction table,
-    the slot width of a packed bijection, the mask ``left``, the bits ``iso``
-    and ``lost`` and the shift ``high`` that lay out a triple's value, and
-    for each left event the mask of the right events with its label."""
+    the slot width of a packed bijection, the mask ``left``, the bit ``iso``
+    and the shift ``high`` that lay out a triple's value, and for each left
+    event the mask of the right events with its label."""
 
-    __slots__ = ("c1", "c2", "width", "slot", "left", "iso", "lost", "high",
-                 "match", "rets1")
+    __slots__ = ("c1", "c2", "width", "slot", "left", "iso", "high", "match",
+                 "rets1")
 
     def __init__(self, c1: ConfStruct, c2: ConfStruct):
         self.c1, self.c2, self.rets1 = c1, c2, c1.rets
         self.width = len(c2.tags).bit_length()
         self.slot = (1 << self.width) - 1
-        self.iso, self.lost = 1 << len(c1.tags), 2 << len(c1.tags)
-        self.left, self.high = self.iso - 1, len(c1.tags) + 2
-        self.match = [sum(1 << b for b, label2 in enumerate(c2.tag_labels)
-                          if label1 == label2)
-                      for label1 in c1.tag_labels]
+        self.iso = 1 << len(c1.tags)
+        self.left, self.high = self.iso - 1, len(c1.tags) + 1
+        rows: dict = {}                 # right label -> its events' mask
+        for b, label in enumerate(c2.tag_labels):
+            rows[label] = rows.get(label, 0) | 1 << b
+        self.match = [rows.get(label, 0) for label in c1.tag_labels]
 
     def decode(self, f: int) -> tuple:
         """The triple keyed by ``f`` as (left configuration, right one,
@@ -108,56 +107,46 @@ def _all_triples(g: _Game) -> list:
     event, which is maximal; the extended bijection reflects both parts iff
     f reflects the first and the cause images fill the second.  So every
     parent of a triple gives it the same flag, whichever grows it first.
-
-    Growth visits every matched extension, so it marks ``lost``, as a
-    forward check would, each isomorphism triple with a left or right
-    extension that no isomorphism child answers (at the top, any right one).
     """
     c1, c2, exts1, exts2 = g.c1, g.c2, g.c1.exts, g.c2.exts
     # ``ConfStruct.causes`` memoises under y << k | e; a hit costs one lookup
     memo1, k1 = c1._causes, len(c1.tags).bit_length()
     memo2, k2 = c2._causes, len(c2.tags).bit_length()
     width, slot, match = g.width, g.slot, g.match
-    left, iso, lost, high = g.left, g.iso, g.lost, g.high
+    left, iso, high = g.left, g.iso, g.high
     layers = [{0: iso}]
-    for _ in range(c1.max_card + 1):    # the last pass only marks the top
-        grown, parents = {}, layers[-1]
-        for f, ms in parents.items():
+    for _ in range(c1.max_card):
+        grown = {}
+        for f, ms in layers[-1].items():
             m1, m2, flag = ms & left, ms >> high, ms & iso
-            ext1, ext2 = exts1[m1], exts2[m2]
-            every = answered = count = 0    # right extensions: all, answered
+            ext2 = exts2[m2]
+            every = 0                   # the right extensions' bits
             for e2 in ext2:
                 every |= 1 << e2
-            for e1 in ext1:
+            for e1 in exts1[m1]:
                 row = match[e1] & every
                 if not row:
                     continue
-                shift, image, hit = e1 * width, None, 0
+                shift, image = e1 * width, None
                 for e2 in ext2 if row == every else bits(row):
                     t = f | (e2 + 1) << shift
-                    child = grown.get(t)    # grown from another parent?
-                    if child is None:
-                        if image is None:   # the right events f maps e1's causes to
-                            y1, image = m1 | 1 << e1, 0
-                            below = memo1.get(y1 << k1 | e1)
-                            if below is None:
-                                below = c1.causes(y1, e1)
-                            for d in bits(below):
-                                image |= 1 << (f >> d * width & slot) - 1
-                        y2 = m2 | 1 << e2
-                        below = memo2.get(y2 << k2 | e2)
+                    if t in grown:      # grown from another parent
+                        continue
+                    if image is None:   # the right events f maps e1's causes to
+                        y1, image = m1 | 1 << e1, 0
+                        below = memo1.get(y1 << k1 | e1)
                         if below is None:
-                            below = c2.causes(y2, e2)
-                        if image & ~below:
-                            continue
-                        child = grown[t] = y1 | y2 << high | flag * (image == below)
-                    if child & iso:
-                        hit, answered = 1, answered | 1 << e2
-                count += hit
-            if flag and (count < len(ext1) or answered != every):
-                parents[f] = ms | lost
+                            below = c1.causes(y1, e1)
+                        for d in bits(below):
+                            image |= 1 << (f >> d * width & slot) - 1
+                    y2 = m2 | 1 << e2
+                    below = memo2.get(y2 << k2 | e2)
+                    if below is None:
+                        below = c2.causes(y2, e2)
+                    if not image & ~below:
+                        grown[t] = y1 | y2 << high | flag * (image == below)
         layers.append(grown)
-    return layers[:-1]
+    return layers
 
 
 def _strategy(g: _Game) -> Optional[dict]:
@@ -292,29 +281,15 @@ def hhpb_relation(c1: ConfStruct, c2: ConfStruct) -> set:
 
 
 def _hhpb_gfp(g: _Game, layers: list) -> list:
-    """The maximal relation by size: the isomorphism triples of ``layers`` and
-    an empty layer on top, filtered until each layer answers its challenges in
-    its neighbours.  Growth checked them forward, and none fails backward (see
-    ``_back_ok``), so the lost ones go at once, and a layer is re-checked only
-    after a neighbour shrinks."""
-    iso, lost = g.iso, g.lost
-    shrunk = [any(map(lost.__and__, layer.values())) for layer in layers]
-    layers = [{f: ms for f, ms in layer.items() if ms & (iso | lost) == iso}
+    """The maximal relation by size below ``layers``: a copy of their
+    isomorphism triples and an empty layer on top, filtered by layered
+    passes, forward then backward, until the backward half removes nothing."""
+    layers = [{f: ms for f, ms in layer.items() if ms & g.iso}
               for layer in layers] + [{}]
-    # forth[i] (back[i]): layer i+1 (i-1) lost a triple since i's last check
-    forth, back, top = shrunk[1:] + [False], [False] + shrunk, len(shrunk)
-    sweep = ([(i, forth, _forth_ok, 1) for i in range(top - 1, -1, -1)]
-             + [(i, back, _back_ok, -1) for i in range(1, top + 1)])
     while True:
-        for i, flags, ok, d in sweep:   # layer i against layer i + d
-            if flags[i]:
-                flags[i], layer, reference = False, layers[i], layers[i + d]
-                failed = [f for f, ms in layer.items() if ok(f, ms, g, reference)]
-                for f in failed:    # flag the neighbours
-                    del layer[f]
-                    forth[i - 1] |= i > 0   # forth[-1] is never set
-                    back[i + 1] = True
-        if not any(forth):
+        forth = _forth(g, layers)
+        layers = list(_back(g, forth))
+        if sum(map(len, forth)) == sum(map(len, layers)):
             return layers
 
 
@@ -325,20 +300,24 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     Related configurations carry a label- and order-isomorphism of their
     events; forward challenges extend it, backward challenges retract the
     image of the retracted event.  The pair is related once the defender
-    strategy closes; otherwise the maximal relation decides, and on failure
-    the cardinality strata locate the shallowest excluded configuration.
+    strategy closes.  Otherwise it is unrelated if a cardinality stratum
+    misses a left configuration, the least one locating the failure, and
+    else the maximal relation R decides.  Every triple of R survives the
+    forward layers, by induction down from the whole top layer, and the
+    backward layers, by induction up from layer 0; an R holding the empty
+    triple relates every left configuration, so then no stratum misses one.
+    R lies within the forward layers, which thus seed the fixpoint.
     """
     g = _Game(c1, c2)
     if _strategy(g) is not None:
         return EquivalenceVerdict(True)
-    layers = _all_triples(g)
-    # the empty triple has no retractions: the maximal relation holds it iff
-    # its forward challenges are answered there, or it would not be maximal
-    fallback = _forth_ok(0, 0, g, _hhpb_gfp(g, layers)[1])
-    if fallback is None:
-        return EquivalenceVerdict(True)
-    stratum, witness = _diagnose(g, _forth(g, layers))
-    return EquivalenceVerdict(False, stratum, witness or fallback)
+    forth = _forth(g, _all_triples(g))
+    stratum, witness = _diagnose(g, forth)
+    if stratum is None:
+        # the empty triple has no retractions: the maximal relation holds it
+        # iff its forward challenges are answered there, or it is not maximal
+        witness = _forth_ok(0, 0, g, _hhpb_gfp(g, forth)[1])
+    return EquivalenceVerdict(witness is None, stratum, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -522,26 +522,12 @@ def _reference_triples(c1, c2):
     return preserving, reflecting
 
 
-def _lost_triples(c1, c2, reflecting):
-    """The reflecting triples with a left or right extension that no
-    reflecting triple answers."""
-    def lost(triple):
-        x1, x2, fs = triple
-        ext1, ext2 = c1.extensions(x1), c2.extensions(x2)
-        answered = {(e1, e2) for e1 in ext1 for e2 in ext2
-                    if (x1 | {e1}, x2 | {e2}, fs | {(e1, e2)}) in reflecting}
-        return ({e1 for e1, _ in answered} != set(ext1)
-                or {e2 for _, e2 in answered} != set(ext2))
-    return set(filter(lost, reflecting))
-
-
 def test_triples_match_reference_on_corpus():
     # growth against the brute-force triples: every preserving triple, in
     # the layer of its left size, its key the bijection and its value both
-    # configurations, the isomorphism bit set during growth against the
-    # definitional reflecting set, and the lost bit against the reflecting
-    # triples with an unanswered extension, on the synthesis pairs and three
-    # parallel silent steps
+    # configurations, and the isomorphism bit set during growth against the
+    # definitional reflecting set, on the synthesis pairs and three parallel
+    # silent steps
     for p1, p2 in _synthesis_pairs() + [(TAUS_3, TAUS_3)]:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         preserving, reflecting = _reference_triples(s1, s2)
@@ -556,12 +542,10 @@ def test_triples_match_reference_on_corpus():
             for f, ms in layer.items():
                 x1, x2, _ = game.decode(f)
                 assert len(x1) == size, pair
-                assert ms & ~(game.iso | game.lost) == (
+                assert ms & ~game.iso == (
                     s1.mask_of(x1) | s2.mask_of(x2) << game.high), pair
         assert {game.decode(f) for f, ms in triples.items()
                 if ms & game.iso} == reflecting, pair
-        assert {game.decode(f) for f, ms in triples.items()
-                if ms & game.lost} == _lost_triples(s1, s2, reflecting), pair
 
 
 def _sync(n: int, expand_last: bool = False):
@@ -666,11 +650,11 @@ def test_hhpb_on_taus_family(n):
     assert hhpb(taus, taus) == EquivalenceVerdict(True)
 
 
-def _fixpoint_pairs():
+def _fixpoint_pairs(top: int = 4):
     """The synthesis pairs, sync-n against itself and against sync-n' for
-    n = 2-4, and three parallel silent steps."""
+    n = 2 to ``top``, and three parallel silent steps."""
     return (_synthesis_pairs()
-            + [(_sync(n), other) for n in (2, 3, 4)
+            + [(_sync(n), other) for n in range(2, top + 1)
                for other in (_sync(n), _sync(n, True))]
             + [(TAUS_3, TAUS_3)])
 
@@ -696,57 +680,53 @@ def test_retraction_preimages_are_retractions():
         assert list(map(len, _back(g, isos))) == list(map(len, isos)), pair
 
 
-def _layered_gfp(g, layers):
-    """``_hhpb_gfp`` as whole layered passes, each checking every layer
-    forward and then backward, over a copy of every isomorphism triple until
-    the backward half removes nothing: the reference for starting from what
-    growth marked lost and re-checking only layers next to a removal."""
-    layers = [{f: ms for f, ms in layer.items() if ms & g.iso}
-              for layer in layers] + [{}]
-    while True:
-        forth = _forth(g, layers)
-        layers = list(_back(g, forth))
-        if sum(map(len, forth)) == sum(map(len, layers)):
-            return layers
+def test_relation_matches_sweep_on_fixpoint_pairs():
+    # the layered passes against the brute-force sweep over the reflecting
+    # triples, on the fixpoint pairs up to sync-3 and four parallel silent
+    # steps (sync-4 takes the sweep half a minute)
+    for p1, p2 in _fixpoint_pairs(3) + [(_taus(4), _taus(4))]:
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        swept = _swept_relation(s1, s2, _reference_triples(s1, s2)[1])
+        assert hhpb_relation(s1, s2) == swept, (unparse(p1), unparse(p2))
 
 
-def test_fixpoint_matches_layered_passes():
-    taus = [collapse(parse(" | ".join(["tau.0"] * n)), par_rule=False)
-            for n in (4, 5, 6)]
-    for p1, p2 in _fixpoint_pairs() + [(t, t) for t in taus]:
+def test_diagnosis_decides_as_the_fixpoint():
+    # hhpb answers from a failing stratum without the fixpoint; its verdict
+    # is the maximal relation's on every unordered pair of 40 random terms,
+    # law and expansion-law pairs, among which some related pairs, some
+    # unrelated ones that fail a stratum and some that fail none occur
+    pairs = (list(itertools.combinations(random_terms(40, seed=7), 2))
+             + [law_pair(seed)[:2] for seed in range(80)]
+             + [expansion_pair(seed) for seed in range(30)])
+    seen = collections.Counter()
+    for p1, p2 in pairs:
         s1, s2 = encode_ccs(p1), encode_ccs(p2)
         g = _Game(s1, s2)
-        layers = _all_triples(g)
-        assert list(map(set, _hhpb_gfp(g, layers))) == list(
-            map(set, _layered_gfp(g, layers))), (unparse(p1), unparse(p2))
+        maximal = _forth_ok(0, 0, g, _hhpb_gfp(g, _all_triples(g))[1]) is None
+        verdict = hhpb(s1, s2)
+        seen[verdict.related, verdict.failing_stratum is None] += 1
+        assert verdict.related == maximal, (unparse(p1), unparse(p2))
+    assert seen[False, True] and seen[False, False] and seen[True, True]
 
 
-def test_fixpoint_rechecks_only_layers_next_to_a_removal(monkeypatch):
-    # growth answers every forward challenge of taus-n, so deciding the
-    # empty triple on the maximal relation checks only the empty triple's
-    # challenges and no retraction; on sync-4 against itself it checks fewer
-    # triples than whole layered passes did (1,918 forward and 1,447
-    # backward checks)
-    calls = collections.Counter()
-    for name in ("_forth_ok", "_back_ok"):
-        def counted(*args, name=name, check=getattr(equivalences, name)):
-            calls[name] += 1
-            return check(*args)
-        monkeypatch.setattr(equivalences, name, counted)
-
-    def related(c):
-        g = _Game(c, c)
-        return equivalences._forth_ok(0, 0, g, _hhpb_gfp(g, _all_triples(g))[1]) is None
-
-    for n in (3, 4, 5, 6):
-        taus = encode_ccs(collapse(parse(" | ".join(["tau.0"] * n)),
-                                   par_rule=False))
+def test_fixpoint_runs_only_where_no_stratum_fails(monkeypatch):
+    # sync-4 against sync-4' fails backward stratum 2 and never reaches the
+    # fixpoint; it runs once on a pair unrelated in no stratum, and once on
+    # a related pair where the strategy gets stuck
+    calls = []
+    monkeypatch.setattr(equivalences, "_hhpb_gfp",
+                        lambda g, layers: calls.append(g) or _hhpb_gfp(g, layers))
+    for p1, p2, runs, verdict in [
+            (_sync(4), _sync(4, True), 0, EquivalenceVerdict(
+                False, ("B", 2), "configuration {'d,d} unmatched in backward stratum 2")),
+            (parse("(a)'a.b.0"), parse("(a)(a.0 | b.0)"), 1,
+             EquivalenceVerdict(False, None, "right extension b unanswered")),
+            (parse("a.a.b.0 + a.a.c.0"), parse("a.a.c.0 + a.a.b.0"), 1,
+             EquivalenceVerdict(True))]:
         calls.clear()
-        assert related(taus)
-        assert calls == {"_forth_ok": 1}, n
-    calls.clear()
-    assert related(encode_ccs(_sync(4)))
-    assert calls["_forth_ok"] < 1918 and calls["_back_ok"] < 1447
+        hhpb.cache_clear()
+        assert hhpb(encode_ccs(p1), encode_ccs(p2)) == verdict, unparse(p1)
+        assert len(calls) == runs, unparse(p1)
 
 
 # ---------------------------------------------------------------------------
