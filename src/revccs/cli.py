@@ -181,7 +181,7 @@ def cmd_discriminate(args) -> int:
     else:
         ctx = synthesize_context(p1, p2)
     if ctx is not None:
-        # a new verdict: the one given is ``hhpb``'s, which its cache keeps
+        # verdicts are frozen: a new one carries the context
         verdict = EquivalenceVerdict(verdict.related, verdict.failing_stratum,
                                      verdict.witness, unparse(ctx))
     return _emit_verdict(verdict, args)

@@ -267,6 +267,7 @@ class ConfStruct:
         from a smaller one would end by adding some j ≠ e), and every other
         event of y is a cause.  This recurrence assumes stability;
         ``validate`` keeps the definition, which catches unstable structures.
+        Memoised per (y, e): HHPB asks once per triple and extension.
         """
         key = y << len(self.tags).bit_length() | e
         found = self._causes.get(key)
@@ -295,31 +296,6 @@ class Morphism(Record, frozen=False, factories={"mapping": dict}):
 
     def apply(self, x: frozenset) -> frozenset:
         return frozenset(self.mapping[e] for e in x if e in self.mapping)
-
-    def violations(self) -> list[str]:
-        out = []
-        for x in self.source.configs:
-            image = self.apply(x)
-            if image not in self.target.configs:
-                out.append(f"image of a configuration is not a configuration: {sorted(map(repr, x))}")
-            defined = [e for e in x if e in self.mapping]
-            if len({self.mapping[e] for e in defined}) != len(defined):
-                out.append(f"not locally injective on {sorted(map(repr, x))}")
-            for e in defined:
-                src = self.source.label(e)
-                tgt = self.target.label(self.mapping[e])
-                # a projection resolves a synchronization pair (or the tau it
-                # was relabelled to) to one of its two halves
-                sync = ((isinstance(src, PairLabel)
-                         and tgt in (src.left, src.right))
-                        or (getattr(src, "is_tau", False)
-                            and isinstance(e, SyncEvent)))
-                if src != tgt and not sync:
-                    out.append(f"label not preserved on {e!r}")
-        return out
-
-    def is_morphism(self) -> bool:
-        return not self.violations()
 
 
 class ProductResult(NamedTuple):
@@ -674,7 +650,7 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
         for e in order
     }
     if any(not cs for cs in candidates.values()):
-        return None if order else (_check_empty(c1, c2, require_onto))
+        return None
     mapping: dict = {}
     used: set = set()
 
@@ -707,12 +683,6 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
         return None
 
     return rec(0)
-
-
-def _check_empty(c1, c2, require_onto):
-    if require_onto:
-        return {} if c1.configs == c2.configs else None
-    return {} if c1.configs <= c2.configs else None
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class Address(Record):
 
     __slots__ = ("struct", "origin", "config")
 
-    def residual(self) -> ConfStruct:
-        return cs.residual(self.struct, self.config)
-
     def to_json(self) -> dict:
         ids = cs.canonical_event_ids(self.struct)
         return {"origin": cs.to_json(self.struct),

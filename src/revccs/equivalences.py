@@ -39,7 +39,7 @@ class BoundExceeded(RuntimeError):
     """The oracle refuses structures beyond its configured size."""
 
 
-class EquivalenceVerdict(Record, frozen=False, defaults={
+class EquivalenceVerdict(Record, defaults={
         "failing_stratum": None, "witness": None, "context": None}):
     # failing_stratum: ("F", i) or ("B", i)
     __slots__ = ("related", "failing_stratum", "witness", "context")
@@ -79,6 +79,13 @@ class _Game:
             rows[label] = rows.get(label, 0) | 1 << b
         self.match = [rows.get(label, 0) for label in c1.tag_labels]
 
+    def image(self, f: int, y1: int, e1: int) -> int:
+        """The mask of the right events f maps e1's causes in y1 to."""
+        image, width, slot = 0, self.width, self.slot
+        for d in bits(self.c1.causes(y1, e1)):
+            image |= 1 << (f >> d * width & slot) - 1
+        return image
+
     def decode(self, f: int) -> tuple:
         """The triple keyed by ``f`` as (left configuration, right one,
         frozen bijection)."""
@@ -108,11 +115,8 @@ def _all_triples(g: _Game) -> list:
     f reflects the first and the cause images fill the second.  So every
     parent of a triple gives it the same flag, whichever grows it first.
     """
-    c1, c2, exts1, exts2 = g.c1, g.c2, g.c1.exts, g.c2.exts
-    # ``ConfStruct.causes`` memoises under y << k | e; a hit costs one lookup
-    memo1, k1 = c1._causes, len(c1.tags).bit_length()
-    memo2, k2 = c2._causes, len(c2.tags).bit_length()
-    width, slot, match = g.width, g.slot, g.match
+    c1, exts1, exts2, causes2 = g.c1, g.c1.exts, g.c2.exts, g.c2.causes
+    width, match, image_of = g.width, g.match, g.image
     left, iso, high = g.left, g.iso, g.high
     layers = [{0: iso}]
     for _ in range(c1.max_card):
@@ -127,22 +131,15 @@ def _all_triples(g: _Game) -> list:
                 row = match[e1] & every
                 if not row:
                     continue
-                shift, image = e1 * width, None
+                shift, y1, image = e1 * width, m1 | 1 << e1, None
                 for e2 in ext2 if row == every else bits(row):
                     t = f | (e2 + 1) << shift
                     if t in grown:      # grown from another parent
                         continue
-                    if image is None:   # the right events f maps e1's causes to
-                        y1, image = m1 | 1 << e1, 0
-                        below = memo1.get(y1 << k1 | e1)
-                        if below is None:
-                            below = c1.causes(y1, e1)
-                        for d in bits(below):
-                            image |= 1 << (f >> d * width & slot) - 1
+                    if image is None:   # once per parent and left extension
+                        image = image_of(f, y1, e1)
                     y2 = m2 | 1 << e2
-                    below = memo2.get(y2 << k2 | e2)
-                    if below is None:
-                        below = c2.causes(y2, e2)
+                    below = causes2(y2, e2)
                     if not image & ~below:
                         grown[t] = y1 | y2 << high | flag * (image == below)
         layers.append(grown)
@@ -156,13 +153,11 @@ def _strategy(g: _Game) -> Optional[dict]:
     backtracks, gets stuck or outgrows both structures.  Each triple taken
     adds its left retraction parents, which cover the right ones (see
     ``_back_ok``), and answers each unanswered extension by the first
-    label-matched isomorphism child (as in growth), preferring one whose two
-    configurations' extensions carry equal label multisets, then one of the
-    same event tag."""
+    label-matched isomorphism child (its cause image as in growth),
+    preferring one whose two configurations' extensions carry equal label
+    multisets, then one of the same event tag."""
     c1, c2, exts1, exts2, match = g.c1, g.c2, g.c1.exts, g.c2.exts, g.match
     width, slot, left, high = g.width, g.slot, g.left, g.high
-    memo1, k1 = c1._causes, len(c1.tags).bit_length()
-    memo2, k2 = c2._causes, len(c2.tags).bit_length()
     chosen, stack, cap = {0: 0}, [0], len(exts1) + len(exts2)
     while stack:
         f = stack.pop()
@@ -183,11 +178,7 @@ def _strategy(g: _Game) -> Optional[dict]:
                 if top <= (not same):   # no better rank left
                     continue
                 y1, y2 = m1 | 1 << e1, m2 | 1 << e2
-                image, below = 0, memo1.get(y1 << k1 | e1)
-                for d in bits(c1.causes(y1, e1) if below is None else below):
-                    image |= 1 << (f >> d * width & slot) - 1
-                below = memo2.get(y2 << k2 | e2)
-                if image != (c2.causes(y2, e2) if below is None else below):
+                if g.image(f, y1, e1) != c2.causes(y2, e2):
                     continue
                 rows = [match[d] for d in exts1[y1]]   # one row per left label
                 every = sum(1 << d for d in exts2[y2])
@@ -235,15 +226,16 @@ def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
     return None
 
 
-def _back_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
-    """Only left retractions need a lookup: under growth's axioms an event is
-    removable iff it is maximal, and an order-preserving f keeps non-maximal
-    events non-maximal, so each right retraction's preimage is a left one,
-    and an isomorphism's retraction parents are grown isomorphisms."""
+def _back_ok(f: int, ms: int, g: _Game, reference) -> bool:
+    """Whether ``reference`` answers every retraction.  Only left ones need
+    a lookup: under growth's axioms an event is removable iff it is maximal,
+    and an order-preserving f keeps non-maximal events non-maximal, so each
+    right retraction's preimage is a left one, and an isomorphism's
+    retraction parents are grown isomorphisms."""
     for e1 in g.rets1[ms & g.left]:
         if f & ~(g.slot << e1 * g.width) not in reference:
-            return f"left retraction {g.c1.tag_labels[e1]} unanswered"
-    return None
+            return False
+    return True
 
 
 def _forth(g: _Game, layers: list) -> list:
@@ -251,7 +243,7 @@ def _forth(g: _Game, layers: list) -> list:
     filtered in place from the top down: each layer keeps the triples whose
     forward challenges are answered in the layer above, the top one whole."""
     for layer, above in zip(layers[-2::-1], layers[:0:-1]):
-        for f in [f for f, ms in layer.items() if _forth_ok(f, ms, g, above)]:
+        for f in [f for f, ms in layer.items() if _unanswered(f, ms, g, above)]:
             del layer[f]
     return layers
 
@@ -263,7 +255,7 @@ def _back(g: _Game, forth: list):
     below = forth[0]
     yield below
     for layer in forth[1:]:
-        failed = {f for f, ms in layer.items() if _back_ok(f, ms, g, below)}
+        failed = {f for f, ms in layer.items() if not _back_ok(f, ms, g, below)}
         below = ({f: ms for f, ms in layer.items() if f not in failed}
                  if failed else layer)
         yield below

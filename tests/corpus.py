@@ -8,7 +8,8 @@ instances of the expansion law, which does not (pairs with a known answer).
 All stay small so every denotation is: the first two within four prefixes,
 a rewritten term within six, and the processes an expansion composes within
 two events each.  ``ccs_steps``, the plain forward-only steps of a term, is
-the reference the tests hold denotations and reversible steps against.
+the reference the tests hold denotations and reversible steps against, and
+``violations`` checks that an event map is a morphism of structures.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from revccs.syntax import (TAU, Action, CcsTerm, Nil, NIL, Par, Prefix,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
+from revccs.confstruct import Morphism, PairLabel, SyncEvent
 from revccs.encoding import encode_ccs
 from revccs.rccs import _branches, ccs_state_key
 
@@ -232,6 +234,38 @@ FIG_TERMS = {
     "C3": parse("a.0 + a.b.0"),
     "C4": parse("a.b.0 + a.b.0"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Morphisms between structures
+
+def violations(m: Morphism) -> list[str]:
+    """How ``m`` fails to preserve configurations and labels or to be
+    locally injective on every configuration; empty for a morphism."""
+    out = []
+    for x in m.source.configs:
+        image = m.apply(x)
+        if image not in m.target.configs:
+            out.append(f"image of a configuration is not a configuration: {sorted(map(repr, x))}")
+        defined = [e for e in x if e in m.mapping]
+        if len({m.mapping[e] for e in defined}) != len(defined):
+            out.append(f"not locally injective on {sorted(map(repr, x))}")
+        for e in defined:
+            src = m.source.label(e)
+            tgt = m.target.label(m.mapping[e])
+            # a projection resolves a synchronization pair (or the tau it
+            # was relabelled to) to one of its two halves
+            sync = ((isinstance(src, PairLabel)
+                     and tgt in (src.left, src.right))
+                    or (getattr(src, "is_tau", False)
+                        and isinstance(e, SyncEvent)))
+            if src != tgt and not sync:
+                out.append(f"label not preserved on {e!r}")
+    return out
+
+
+def is_morphism(m: Morphism) -> bool:
+    return not violations(m)
 
 
 # ---------------------------------------------------------------------------

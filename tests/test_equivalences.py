@@ -571,25 +571,36 @@ def test_hhpb_on_sync_family(n):
         f"configuration {{'{x},{x}}} unmatched in backward stratum 2")
 
 
+def test_cached_verdicts_are_frozen():
+    # ``hhpb``'s cache hands every caller the same verdict, so no caller
+    # may change it for the next
+    verdict = hhpb(C1, C2)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'context'$"):
+        verdict.context = "[·]"
+    assert hhpb(C1, C2) == verdict == EquivalenceVerdict(
+        False, ("B", 2), "configuration {a,b} unmatched in backward stratum 2")
+
+
 def test_growth_asks_each_cause_mask_once(monkeypatch):
-    # growth reads cause masks from each structure's memo and calls
-    # ``ConfStruct.causes`` only on a miss: on sync-4 against sync-4' the
-    # left structure's top-level calls are at most its 2,500 distinct
-    # (configuration, event) keys (one call per triple and left extension
-    # made 5,528), and no key twice; the recursion inside ``causes`` is not
-    # counted
+    # HHPB asks ``ConfStruct.causes`` once per triple and extension, and the
+    # structure's memo computes each (configuration, event) key once: on
+    # sync-4 against sync-4' the top-level calls that find no memo entry
+    # (the memo grows) are at most the left structure's 2,500 distinct keys
+    # (one per triple and left extension would make 5,528), and no key
+    # misses twice; the recursion inside ``causes`` is not counted
     calls, keys, depth = collections.Counter(), collections.Counter(), [0]
     causes = ConfStruct.causes
 
     def counted(self, y, e):
-        if not depth[0]:
-            calls[id(self)] += 1
-            keys[id(self), y, e] += 1
+        known = len(self._causes)
         depth[0] += 1
         try:
             return causes(self, y, e)
         finally:
             depth[0] -= 1
+            if not depth[0] and len(self._causes) > known:
+                calls[id(self)] += 1
+                keys[id(self), y, e] += 1
 
     encode_ccs.cache_clear()
     hhpb.cache_clear()

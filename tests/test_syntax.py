@@ -258,17 +258,17 @@ class TestValueClasses:
             Sum(NIL, parse("a.0"))
 
     def test_frozen_and_mutable(self):
-        from revccs.equivalences import EquivalenceVerdict
+        from revccs.encoding import CorrespondenceReport
         with pytest.raises(AttributeError, match="^cannot assign to field 'kind'$"):
             TAU.kind = "in"
         with pytest.raises(AttributeError):
             parse("a.0").body = NIL
         assert TAU.kind == "tau"
-        verdict = EquivalenceVerdict(True)
-        verdict.witness = "w"
-        assert verdict.witness == "w"
+        report = CorrespondenceReport()
+        report.states_checked = 3
+        assert report.states_checked == 3
         with pytest.raises(TypeError):
-            hash(EquivalenceVerdict(True))
+            hash(CorrespondenceReport())
 
     def test_copies_and_pickles(self):
         from revccs.equivalences import EquivalenceVerdict
