@@ -16,9 +16,10 @@ The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is keyed
 by its bijection f, packed into one slot per left event, which fixes both
 configurations (held beside it as one int, with a bit marking the
-isomorphisms, in the dict of its left size), and the bisimulation games
-refine dense int graphs.  Only the public results (``hhpb_relation``,
-``build_stratification``, the oracle's game) are decoded back to frozensets.
+isomorphisms, in the dict of its left size), the barbed games refine dense
+int graphs, and the forward game interns classes up its acyclic graph.
+Only the public results (``hhpb_relation``, ``build_stratification``, the
+oracle's game) are decoded back to frozensets.
 """
 
 from __future__ import annotations
@@ -447,7 +448,8 @@ def _coarsest_blocks(block: list, succ: list) -> list:
     nodes 0..size-1) stable under ``succ`` (node -> moves, each packed as
     label * size + target), as node -> block.  Nodes share a block iff they
     are bisimilar: each round splits blocks by the labelled blocks their
-    moves reach, until no block splits.
+    moves reach, until no block splits.  The barbed games need it, as their
+    undo moves make cycles; the forward game's acyclic graph does not.
     """
     size, count = len(block), len(set(block))
     while True:
@@ -553,18 +555,21 @@ def _silent_game(sides, starts=None) -> EquivalenceVerdict:
 def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     """Strong bisimilarity of the empty configurations, each extension a
     move labelled by its event's label: by the correspondence argued at
-    ``barbed_bf_bisim_structs``, the forward game of the denoted processes."""
-    size = len(c1.exts) + len(c2.exts)
-    succ: list = []
-    begin, ids = [], {}
-    for c in (c1, c2):
-        number = {m: k for k, m in enumerate(c.exts, len(succ))}
-        label = [ids.setdefault(action, len(ids)) * size for action in c.tag_labels]
-        succ.extend([label[e] + number[m | 1 << e] for e in ext]
-                    for m, ext in c.exts.items())
-        begin.append(number[0])
-    block = _coarsest_blocks([0] * size, succ)
-    return block[begin[0]] == block[begin[1]]
+    ``barbed_bf_bisim_structs``, the forward game of the denoted processes.
+
+    Extensions only grow a configuration, so the graph is acyclic and needs
+    no refinement: visited largest first, each configuration's class is the
+    set of its (label, target class) pairs, interned across both sides."""
+    ids: dict = {}
+    labels = [[ids.setdefault(a, len(ids)) for a in c.tag_labels] for c in (c1, c2)]
+    width, classes, start = len(ids), {}, []
+    for c, label in zip((c1, c2), labels):
+        exts, cls = c.exts, {}
+        for m in sorted(exts, key=int.bit_count, reverse=True):
+            cls[m] = classes.setdefault(frozenset(
+                cls[m | 1 << e] * width + label[e] for e in exts[m]), len(classes))
+        start.append(cls[0])
+    return start[0] == start[1]
 
 
 def forward_strong_bisim(p1: Process, p2: Process) -> bool:

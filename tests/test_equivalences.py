@@ -25,7 +25,8 @@ from revccs.equivalences import (BoundExceeded, EquivalenceVerdict, hhpb,
                                  forward_strong_bisim, hhpb_oracle,
                                  hhpb_relation, synthesize_context,
                                  MAX_FACTORS, _Game, _all_triples,
-                                 _back, _barbed_game, _candidate, _forth,
+                                 _back, _barbed_game, _candidate,
+                                 _coarsest_blocks, _forth,
                                  _forth_ok, _hhpb_gfp)
 
 C1 = encode_ccs(parse("a.0 | b.0"))
@@ -480,6 +481,60 @@ def test_silent_part_answers_as_full_graph():
         s1, s2, starts = encode_ccs(p1), encode_ccs(p2), (unparse(p1), unparse(p2))
         assert barbed_bf_bisim_structs(s1, s2, starts) == _full_graph_barbed(
             s1, s2, starts), starts
+
+
+def _kernel_forward(c1, c2):
+    """The forward game refined by the partition kernel on both structures'
+    numbered configuration graphs: the reference for the one pass over
+    their acyclic graphs."""
+    size = len(c1.exts) + len(c2.exts)
+    succ: list = []
+    begin, ids = [], {}
+    for c in (c1, c2):
+        number = {m: k for k, m in enumerate(c.exts, len(succ))}
+        label = [ids.setdefault(action, len(ids)) * size for action in c.tag_labels]
+        succ.extend([label[e] + number[m | 1 << e] for e in ext]
+                    for m, ext in c.exts.items())
+        begin.append(number[0])
+    block = _coarsest_blocks([0] * size, succ)
+    return block[begin[0]] == block[begin[1]]
+
+
+def test_forward_pass_answers_as_kernel():
+    # the corpus, every ordered pair of random terms, law and expansion-law
+    # pairs, causes to map, parallel silent steps and products; one term's
+    # ``exts`` lists an extension before the configuration it extends
+    out_of_order = encode_ccs(parse("'b.0 | 'a.b.0"))
+    order = list(out_of_order.exts)
+    assert any(order.index(m | 1 << e) < order.index(m)
+               for m, ext in out_of_order.exts.items() for e in ext)
+    t = encode_ccs(instantiate(synthesize_context(SYNC_2, SYNC_2_EXPANDED), NIL))
+    s1, s2 = encode_ccs(SYNC_2), encode_ccs(SYNC_2_EXPANDED)
+    terms = random_terms(60, seed=7)
+    pairs = [(encode_ccs(p1), encode_ccs(p2)) for p1, p2 in
+             corpus_pairs() + list(itertools.product(terms, repeat=2))
+             + [law_pair(seed)[:2] for seed in range(80)]
+             + [expansion_pair(seed) for seed in range(30)]]
+    pairs += [(s1, s2), (encode_ccs(TAUS_3), encode_ccs(TAUS_3)),
+              (parallel(t, s1), parallel(t, s2)),
+              (out_of_order, encode_ccs(parse("'a.b.0 | 'b.0")))]
+    for c1, c2 in pairs:
+        assert forward_bisim_structs(c1, c2) == _kernel_forward(c1, c2), (
+            c1.tag_labels, c2.tag_labels)
+
+
+def test_forward_game_refines_no_partition(monkeypatch):
+    # sync-4 against sync-4': the forward game is one pass, not the kernel
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return _coarsest_blocks(*args)
+
+    monkeypatch.setattr(equivalences, "_coarsest_blocks", counted)
+    assert main(["check", SYNC_4, SYNC_4_EXPANDED, "--equiv", "forward",
+                 "--max-events", "40"]) == 0
+    assert calls == []
 
 
 def test_barbed_game_numbers_the_silent_part(monkeypatch):
