@@ -98,51 +98,57 @@ class _Game:
 
 def _all_triples(g: _Game) -> list:
     """Every order-preserving triple, grown from the empty triple by matched
-    extensions and marked as an isomorphism or not, in layers by left size.
+    extensions and marked as an isomorphism or not, in layers by left size,
+    each triple grown once, from its canonical parent.
 
     e1 of m1 pairs with e2 of m2 when their labels agree and f maps every
     cause of e1 below e2.  That suffices for f to stay order-preserving: the
     order of m1 | {e1} restricted to m1 is that of m1, and e1 lies below no
-    event of m1.  Nothing is missed when both structures are stable and
-    finitely complete.  Pull back a covering chain of m2 along f: each
-    prefix is down-closed in m1, hence a configuration whose causal order is
-    that of m1 restricted to it, so the chain's pull-back grows the triple
-    one matched pair at a time.
+    event of m1.  A triple's canonical parent drops the highest retraction
+    of its right configuration and that event's preimage, so a child is
+    grown only where e2 is the highest retraction of m2 | {e2}.  Nothing is
+    missed when both structures are stable and finitely complete.  Removing
+    the highest retraction at each step is a covering chain of m2; pulled
+    back along f, each prefix is down-closed in m1, hence a configuration
+    whose causal order is that of m1 restricted to it.  So each triple's
+    canonical parent is an order-preserving triple one smaller, grown by
+    induction, and growth reaches each triple from it alone.
 
     The grown triple is an isomorphism iff the parent is one and f maps e1's
     causes onto all of e2's.  The orders of m1 | {e1} and m2 | {e2} are those
     of m1 and m2 (restrictions, as above) plus the pairs below the added
     event, which is maximal; the extended bijection reflects both parts iff
-    f reflects the first and the cause images fill the second.  So every
-    parent of a triple gives it the same flag, whichever grows it first.
+    f reflects the first and the cause images fill the second.
     """
-    c1, exts1, exts2, causes2 = g.c1, g.c1.exts, g.c2.exts, g.c2.causes
+    c1, exts1, exts2, rets2, causes2 = (g.c1, g.c1.exts, g.c2.exts, g.c2.rets,
+                                        g.c2.causes)
     width, match, image_of = g.width, g.match, g.image
     left, iso, high = g.left, g.iso, g.high
     layers = [{0: iso}]
     for _ in range(c1.max_card):
-        grown = {}
+        # canonical: a right configuration -> the bits of its extensions e2
+        # that are the highest retraction of the configuration they make
+        grown, canonical = {}, {}
         for f, ms in layers[-1].items():
             m1, m2, flag = ms & left, ms >> high, ms & iso
-            ext2 = exts2[m2]
-            every = 0                   # the right extensions' bits
-            for e2 in ext2:
-                every |= 1 << e2
+            every = canonical.get(m2)
+            if every is None:
+                every = canonical[m2] = sum(1 << e2 for e2 in exts2[m2]
+                                            if rets2[m2 | 1 << e2][-1] == e2)
             for e1 in exts1[m1]:
                 row = match[e1] & every
                 if not row:
                     continue
-                shift, y1, image = e1 * width, m1 | 1 << e1, None
-                for e2 in ext2 if row == every else bits(row):
-                    t = f | (e2 + 1) << shift
-                    if t in grown:      # grown from another parent
-                        continue
-                    if image is None:   # once per parent and left extension
-                        image = image_of(f, y1, e1)
-                    y2 = m2 | 1 << e2
-                    below = causes2(y2, e2)
+                shift, y1 = e1 * width, m1 | 1 << e1
+                image = image_of(f, y1, e1)
+                while row:
+                    low = row & -row    # e2's bit; its length, e2 + 1, is
+                    row ^= low          # e2's slot in the packed bijection
+                    y2, held = m2 | low, low.bit_length()
+                    below = causes2(y2, held - 1)
                     if not image & ~below:
-                        grown[t] = y1 | y2 << high | flag * (image == below)
+                        grown[f | held << shift] = (
+                            y1 | y2 << high | flag * (image == below))
         layers.append(grown)
     return layers
 
@@ -153,13 +159,41 @@ def _strategy(g: _Game) -> Optional[dict]:
     an HHP bisimulation; None where the greedy search, which never
     backtracks, gets stuck or outgrows both structures.  Each triple taken
     adds its left retraction parents, which cover the right ones (see
-    ``_back_ok``), and answers each unanswered extension by the first
-    label-matched isomorphism child (its cause image as in growth),
-    preferring one whose two configurations' extensions carry equal label
-    multisets, then one of the same event tag."""
+    ``_back_ok``), and answers each unanswered extension, in
+    ``_unanswered``'s one scan, by the first label-matched isomorphism child
+    (its cause image as in growth), preferring one whose two configurations'
+    extensions carry equal label multisets, then one of the same event
+    tag."""
     c1, c2, exts1, exts2, match = g.c1, g.c2, g.c1.exts, g.c2.exts, g.match
     width, slot, left, high = g.width, g.slot, g.left, g.high
     chosen, stack, cap = {0: 0}, [0], len(exts1) + len(exts2)
+
+    def answer(side: bool, e: int) -> int:
+        """Take the best child answering the challenge; its right event's
+        bit, or 0 if none does."""
+        best, top = None, 4     # the child's key, value and right bit, and its rank
+        for e1, e2 in ([(e, e2) for e2 in exts2[m2] if match[e] >> e2 & 1] if side
+                       else [(e1, e) for e1 in exts1[m1] if match[e1] >> e & 1]):
+            same = c1.tags[e1] == c2.tags[e2]
+            if top <= (not same):   # no better rank left
+                continue
+            y1, y2 = m1 | 1 << e1, m2 | 1 << e2
+            if g.image(f, y1, e1) != c2.causes(y2, e2):
+                continue
+            rows = [match[d] for d in exts1[y1]]   # one row per left label
+            every = sum(1 << d for d in exts2[y2])
+            rank = (not same) + 2 * (len(rows) != every.bit_count() or not all(
+                row and rows.count(row) == (row & every).bit_count() for row in rows))
+            if rank < top:
+                best, top = (f | (e2 + 1) << e1 * width, y1 | y2 << high, 1 << e2), rank
+                if not rank:
+                    break
+        if best is None:
+            return 0
+        chosen[best[0]] = best[1]
+        stack.append(best[0])
+        return best[2]
+
     while stack:
         f = stack.pop()
         ms = chosen[f]
@@ -170,52 +204,44 @@ def _strategy(g: _Game) -> Optional[dict]:
             if parent not in chosen:
                 chosen[parent] = ms ^ (1 << e1 | 1 << (f >> shift & slot) - 1 + high)
                 stack.append(parent)
-        while challenge := _unanswered(f, ms, g, chosen):
-            side, e = challenge
-            best, top = None, 4     # the child's key and value, and its rank
-            for e1, e2 in ([(e, e2) for e2 in exts2[m2] if match[e] >> e2 & 1] if side
-                           else [(e1, e) for e1 in exts1[m1] if match[e1] >> e & 1]):
-                same = c1.tags[e1] == c2.tags[e2]
-                if top <= (not same):   # no better rank left
-                    continue
-                y1, y2 = m1 | 1 << e1, m2 | 1 << e2
-                if g.image(f, y1, e1) != c2.causes(y2, e2):
-                    continue
-                rows = [match[d] for d in exts1[y1]]   # one row per left label
-                every = sum(1 << d for d in exts2[y2])
-                rank = (not same) + 2 * (len(rows) != every.bit_count() or not all(
-                    row and rows.count(row) == (row & every).bit_count() for row in rows))
-                if rank < top:
-                    best, top = (f | (e2 + 1) << e1 * width, y1 | y2 << high), rank
-                    if not rank:
-                        break
-            if best is None:
-                return None
-            chosen[best[0]] = best[1]
-            stack.append(best[0])
-        if len(chosen) > cap:
+        if _unanswered(f, ms, g, chosen, answer) or len(chosen) > cap:
             return None
     return chosen
 
 
-def _unanswered(f: int, ms: int, g: _Game, reference) -> Optional[tuple]:
+def _unanswered(f: int, ms: int, g: _Game, reference, answer=None
+                ) -> Optional[tuple]:
     """The triple's first left extension with no answer in ``reference``, as
-    (True, its bit), or else its first such right one, as (False, its bit)."""
+    (True, its bit), or else its first such right one, as (False, its bit),
+    looking up label-matched pairs only.  Given ``answer``, each such
+    challenge goes to it first, and the scan passes it if ``answer`` adds an
+    answer to ``reference`` and returns its right bit (else 0): as
+    ``reference`` only grows, one scan meets the challenges that a scan
+    restarted after each answer would."""
     ext1, ext2 = g.c1.exts[ms & g.left], g.c2.exts[ms >> g.high]
     width, match = g.width, g.match
-    for e1 in ext1:
-        shift, row = e1 * width, match[e1]
-        for e2 in ext2:
-            if row >> e2 & 1 and f | (e2 + 1) << shift in reference:
-                break
-        else:
-            return True, e1
+    every = answered = 0            # the right extensions, and those answered
     for e2 in ext2:
+        every |= 1 << e2
+    for e1 in ext1:
+        shift, row = e1 * width, match[e1] & every
+        while row:
+            low = row & -row        # e2's bit, and e2 + 1 its length
+            if f | low.bit_length() << shift in reference:
+                answered |= low
+                break
+            row ^= low
+        else:
+            if answer is None or not (got := answer(True, e1)):
+                return True, e1
+            answered |= got
+    for e2 in bits(every & ~answered):
         for e1 in ext1:
             if match[e1] >> e2 & 1 and f | (e2 + 1) << e1 * width in reference:
                 break
         else:
-            return False, e2
+            if answer is None or not answer(False, e2):
+                return False, e2
     return None
 
 
@@ -346,20 +372,21 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
 
 def _diagnose(g: _Game, forth: list):
     """Least stratum whose layers, ``forth`` and the backward layers built
-    from it only as far as that stratum, exclude some left configuration."""
+    from it only as far as that stratum, exclude some left configuration;
+    the witness is the least one excluded in ``ordered()`` order."""
     strata, back = [[] for _ in forth], _back(g, forth)
-    for m1 in g.c1.ordered():
+    for m1 in g.c1.exts:
         strata[m1.bit_count()].append(m1)
     for i, layer in enumerate(strata):
         for side, word in (("F", "forward"), ("B", "backward")):
             triples = forth[i] if side == "F" else next(back)
             covered = {ms & g.left for ms in triples.values()}
-            for m1 in layer:
-                if m1 not in covered:
-                    names = sorted(str(g.c1.tag_labels[e]) for e in bits(m1))
-                    return ((side, i),
-                            "configuration {" + ",".join(names) + "} "
-                            f"unmatched in {word} stratum {i}")
+            missed = [m1 for m1 in layer if m1 not in covered]
+            if missed:
+                names = sorted(str(g.c1.tag_labels[e])
+                               for e in bits(min(missed, key=bits)))
+                return ((side, i), "configuration {" + ",".join(names) + "} "
+                        f"unmatched in {word} stratum {i}")
     return None, None
 
 

@@ -1,9 +1,12 @@
 """Equivalence deciders, stratification, synthesis, congruence closure."""
 
+import ast
 import collections
 import functools
+import inspect
 import itertools
 import sys
+import textwrap
 
 import pytest
 
@@ -603,6 +606,66 @@ def test_triples_match_reference_on_corpus():
                 if ms & game.iso} == reflecting, pair
 
 
+def test_growth_matches_reference_whatever_the_parent():
+    # each triple grows from one parent, the one without its right
+    # configuration's highest retraction, and its isomorphism bit is set
+    # there: against the brute-force triples where ``exts`` lists an
+    # extension before the configuration it extends, and where right
+    # configurations have several retractions, so that triples have several
+    # retraction parents
+    out_of_order = encode_ccs(parse("'b.0 | 'a.b.0"))
+    order = list(out_of_order.exts)
+    assert any(order.index(m | 1 << e) < order.index(m)
+               for m, ext in out_of_order.exts.items() for e in ext)
+    s1, s2 = encode_ccs(SYNC_2), encode_ccs(SYNC_2_EXPANDED)
+    assert max(map(len, s2.rets.values())) > 1
+    for c1, c2 in [(out_of_order, encode_ccs(parse("'a.b.0 | 'b.0"))), (s1, s2)]:
+        preserving, reflecting = _reference_triples(c1, c2)
+        game = _Game(c1, c2)
+        grown = [(game.decode(f), bool(ms & game.iso))
+                 for layer in _all_triples(game) for f, ms in layer.items()]
+        assert len(set(grown)) == len(grown)
+        assert set(grown) == {(t, t in reflecting) for t in preserving}
+
+
+def test_growth_grows_each_triple_once():
+    # on sync-4 against sync-4' no left event has a cause, so every
+    # label-matched candidate child is order-preserving, and the body of
+    # growth's innermost loop, one run per candidate, runs once per triple
+    # it grows; growing each child from every retraction parent would run it
+    # 5,186 times for the 1,469 non-empty triples
+    def loops(node, depth=0):
+        # each loop below ``node`` with the number of loops it lies in
+        for child in ast.iter_child_nodes(node):
+            inner = depth + isinstance(child, (ast.For, ast.While))
+            if inner > depth:
+                yield inner, child
+            yield from loops(child, inner)
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_all_triples)))
+    _, innermost = max(loops(tree), key=lambda found: found[0])
+    line = _all_triples.__code__.co_firstlineno + innermost.body[0].lineno - 1
+    runs = collections.Counter()
+
+    def trace(frame, event, arg):
+        if frame.f_code is _all_triples.__code__:
+            return local
+
+    def local(frame, event, arg):
+        if event == "line":
+            runs[frame.f_lineno] += 1
+        return local
+
+    g = _Game(encode_ccs(_sync(4)), encode_ccs(_sync(4, True)))
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        layers = _all_triples(g)
+    finally:
+        sys.settrace(previous)
+    assert sum(map(len, layers)) - 1 == runs[line] == 1469
+
+
 def _sync(n: int, expand_last: bool = False):
     """``a.0 | 'a.0 | ...`` over n channels; with ``expand_last`` the last
     pair becomes its expansion ``{x.'x.0 + 'x.x.0 + tau.0}``."""
@@ -706,6 +769,19 @@ def test_lazy_diagnosis_matches_full_stratification():
         assert (verdict.failing_stratum, verdict.witness) == expected, (
             unparse(p1), unparse(p2))
     assert seen[False, False] and seen[False, True] and seen[True, True]
+
+
+def test_diagnosis_names_the_least_configuration_in_canonical_order():
+    # backward stratum 2 misses {a,d} (bits 0 and 3, mask 9) and {b,c}
+    # (bits 1 and 2, mask 6): the witness is the first of them in
+    # ``ordered()`` order, not the smaller mask
+    s1 = encode_ccs(parse("a.0 | b.0 | c.0 | d.0"))
+    s2 = encode_ccs(parse("(a.d.0 + d.a.0) | (b.c.0 + c.b.0)"))
+    hhpb.cache_clear()
+    assert hhpb(s1, s2) == EquivalenceVerdict(
+        False, ("B", 2), "configuration {a,d} unmatched in backward stratum 2")
+    assert _least_failing_stratum(s1, s2) == (
+        ("B", 2), "configuration {a,d} unmatched in backward stratum 2")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -862,6 +938,84 @@ def test_strategy_closes_exactly_on_related_pairs():
             assert _certificate_fault(s1, s2, triples) is None, (unparse(p1),
                                                                  unparse(p2))
     assert related == 106 + 4 + 40 + 3 + 2
+
+
+def _first_unanswered(f, ms, g, reference):
+    """The triple's first left extension with no answer in ``reference``, as
+    (True, its bit), or else its first such right one, as (False, its bit),
+    each found by trying every extension on the other side."""
+    ext1, ext2 = g.c1.exts[ms & g.left], g.c2.exts[ms >> g.high]
+    for e1 in ext1:
+        if not any(g.match[e1] >> e2 & 1 and f | (e2 + 1) << e1 * g.width in reference
+                   for e2 in ext2):
+            return True, e1
+    for e2 in ext2:
+        if not any(g.match[e1] >> e2 & 1 and f | (e2 + 1) << e1 * g.width in reference
+                   for e1 in ext1):
+            return False, e2
+    return None
+
+
+def _rescanning_strategy(g):
+    """The greedy defender strategy that restarts the challenge scan after
+    each answer: the reference for ``_strategy``'s one scan per triple."""
+    c1, c2, exts1, exts2, match = g.c1, g.c2, g.c1.exts, g.c2.exts, g.match
+    width, slot, left, high = g.width, g.slot, g.left, g.high
+    chosen, stack, cap = {0: 0}, [0], len(exts1) + len(exts2)
+    while stack:
+        f = stack.pop()
+        ms = chosen[f]
+        m1, m2 = ms & left, ms >> high
+        for e1 in g.rets1[m1]:
+            shift = e1 * width
+            parent = f & ~(slot << shift)
+            if parent not in chosen:
+                chosen[parent] = ms ^ (1 << e1 | 1 << (f >> shift & slot) - 1 + high)
+                stack.append(parent)
+        while challenge := _first_unanswered(f, ms, g, chosen):
+            side, e = challenge
+            best, top = None, 4
+            for e1, e2 in ([(e, e2) for e2 in exts2[m2] if match[e] >> e2 & 1] if side
+                           else [(e1, e) for e1 in exts1[m1] if match[e1] >> e & 1]):
+                same = c1.tags[e1] == c2.tags[e2]
+                if top <= (not same):
+                    continue
+                y1, y2 = m1 | 1 << e1, m2 | 1 << e2
+                if g.image(f, y1, e1) != c2.causes(y2, e2):
+                    continue
+                rows = [match[d] for d in exts1[y1]]
+                every = sum(1 << d for d in exts2[y2])
+                rank = (not same) + 2 * (len(rows) != every.bit_count() or not all(
+                    row and rows.count(row) == (row & every).bit_count() for row in rows))
+                if rank < top:
+                    best, top = (f | (e2 + 1) << e1 * width, y1 | y2 << high), rank
+                    if not rank:
+                        break
+            if best is None:
+                return None
+            chosen[best[0]] = best[1]
+            stack.append(best[0])
+        if len(chosen) > cap:
+            return None
+    return chosen
+
+
+def test_one_scan_strategy_chooses_as_rescanning():
+    # the strategy scans each triple's challenges once and answers each as it
+    # meets it; the one that rescans after each answer chooses the same
+    # triples in the same order, and gets stuck on the same pairs
+    pairs = (corpus_pairs() + [law_pair(seed)[:2] for seed in range(80)]
+             + [expansion_pair(seed) for seed in range(30)]
+             + [(_taus(4), _taus(4)), (_sync(4), _mirror(4))])
+    seen = collections.Counter()
+    for p1, p2 in pairs:
+        g = _Game(encode_ccs(p1), encode_ccs(p2))
+        chosen, reference = equivalences._strategy(g), _rescanning_strategy(g)
+        seen[chosen is None] += 1
+        assert (None if chosen is None else list(chosen.items())) == (
+            None if reference is None else list(reference.items())), (
+                unparse(p1), unparse(p2))
+    assert seen[True] and seen[False]
 
 
 def test_certificate_checker_rejects_broken_strategies():
