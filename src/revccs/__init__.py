@@ -12,10 +12,9 @@ from .syntax import (Action, TAU, inp, out, Nil, NIL, Prefix, Sum, Par,
                      fresh_name, push_restrictions,
                      detect_auto_conflict_or_concurrency)
 from .confstruct import (ConfStruct, EMPTY, Morphism, validate, product,
-                         coproduct, restrict_events, restrict_name, prefix,
-                         relabel, parallel, residual, causal_order,
-                         transitions, prune, embeds, isomorphic, to_json,
-                         from_json, to_dot)
+                         coproduct, restrict_name, prefix, relabel, parallel,
+                         residual, causal_order, prune, embeds, isomorphic,
+                         to_json, from_json, to_dot)
 from .rccs import (Fork, FORK, Past, Monitored, RPar, RRestrict, RTerm,
                    TransitionLabel, IncoherentTerm, lift, erase, normalize,
                    forward_steps, backward_steps, is_coherent, origin,

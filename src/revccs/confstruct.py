@@ -90,12 +90,13 @@ class ConfStruct:
     ``restricted``).  Everything else follows from them and is computed on
     first read: the family ``configs``, the retractions ``rets`` (laid out
     as ``exts``), each event's least configuration size ``depths`` and the
-    largest one ``max_card``, and cause masks.  Equality and
-    hashing read the numbering: equal structures number events alike.
+    largest one ``max_card``, and each event's histories ``histories``,
+    which ``causes`` reads cause masks from.  Equality and hashing read the
+    numbering: equal structures number events alike.
     """
 
     __slots__ = ("tags", "tag_labels", "exts", "_bit", "_events", "_configs",
-                 "_rets", "_depths", "_max_card", "_hash", "_causes")
+                 "_rets", "_depths", "_max_card", "_histories", "_hash")
 
     def __init__(self, events: Iterable, configs: Iterable, labels: dict):
         events = frozenset(events)
@@ -118,9 +119,8 @@ class ConfStruct:
         self._fill(tags, tuple(labels[e] for e in tags), exts)
 
     def _fill(self, tags, tag_labels, exts):
-        # in slot order; the memos start unset
-        for name, value in zip(self.__slots__, (tags, tag_labels, exts) + (None,) * 7
-                               + ({},)):
+        # in slot order; the derived fields start unset
+        for name, value in zip(self.__slots__, (tags, tag_labels, exts) + (None,) * 8):
             _set(self, name, value)
 
     @classmethod
@@ -175,6 +175,16 @@ class ConfStruct:
     def max_card(self) -> int:
         """The largest configuration size."""
         return max(map(int.bit_count, self.exts), default=0)
+
+    @_kept
+    def histories(self) -> tuple:
+        """Each event's histories, the configurations whose only retraction
+        it is, as a tuple of masks per bit."""
+        found = [[] for _ in self.tags]
+        for m, back in self.rets.items():
+            if len(back) == 1:
+                found[back[0]].append(m)
+        return tuple(map(tuple, found))
 
     def label(self, e) -> Action:
         return self.tag_labels[self.bit[e]]
@@ -255,31 +265,25 @@ class ConfStruct:
         return sorted(self.exts, key=lambda m: (m.bit_count(), bits(m)))
 
     def causes(self, y: int, e: int) -> int:
-        """The strict causes of event ``e`` in configuration ``y``, as a mask.
+        """The strict causes of event ``e`` in configuration ``y``, as a mask:
+        e's one history inside y, without e.
 
         By definition d lies below e in y when every sub-configuration of y
-        holding e holds d.  On a stable structure that order restricts to
-        sub-configurations: if w ⊆ y holds e, and a sub-configuration z of y
-        holds e but not d, then so does z ∩ w, a configuration by stability
-        (y bounds both).  So for any j ≠ e with w = y \\ {j} a configuration,
-        e has the same causes in w as in y, and j is not among them.  With no
-        such j, y is the only sub-configuration holding e (a covering chain
-        from a smaller one would end by adding some j ≠ e), and every other
-        event of y is a cause.  This recurrence assumes stability;
-        ``validate`` keeps the definition, which catches unstable structures.
-        Memoised per (y, e): HHPB asks once per triple and extension.
+        holding e holds d.  On a stable structure those sub-configurations
+        have a least one z, their intersection (y bounds any two), so the
+        causes are z without e.  z is a history of e: removing a retraction
+        j ≠ e would leave a smaller one holding e.  It is e's only history
+        inside y: two would meet in a smaller configuration holding e, and a
+        covering chain from there up to the larger would end by adding some
+        j ≠ e, another retraction of it.  This assumes stability; ``validate``
+        keeps the definition, which catches unstable structures.  Only a
+        structure it rejects can have no history of e inside y; the answer
+        there is y without e.
         """
-        key = y << len(self.tags).bit_length() | e
-        found = self._causes.get(key)
-        if found is None:
-            for j in self.rets[y]:
-                if j != e:
-                    found = self.causes(y ^ 1 << j, e)
-                    break
-            else:
-                found = y & ~(1 << e)
-            self._causes[key] = found
-        return found
+        for h in (self._histories or self.histories)[e]:
+            if not h & ~y:
+                return h ^ 1 << e
+        return y & ~(1 << e)
 
 
 EMPTY = ConfStruct((), (frozenset(),), {})
@@ -494,11 +498,6 @@ def coproduct(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
         c1.tag_labels + c2.tag_labels, exts)
 
 
-def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
-    keep = frozenset(keep)
-    return c.restricted(sum(1 << i for i, e in enumerate(c.tags) if e in keep))
-
-
 def _label_mentions(label, name: str) -> bool:
     if isinstance(label, PairLabel):
         return (_label_mentions(label.left, name) or _label_mentions(label.right, name))
@@ -549,10 +548,6 @@ def _sync_pair(label1, label2):
     return _sync_label(PairLabel(label1, label2))
 
 
-def parallel_full(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
-    return product(c1, c2, _sync_pair)
-
-
 def parallel(c1: ConfStruct, c2: ConfStruct) -> ConfStruct:
     """Product, synchronization relabelling, removal of killed events: the
     product grown with only the pairs of dual visible labels, as tau.  No
@@ -586,14 +581,6 @@ def causal_order(c: ConfStruct, x: frozenset) -> frozenset:
 
 def strictly_below(order: frozenset, e1, e2) -> bool:
     return e1 != e2 and (e1, e2) in order
-
-
-def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
-    """Forward extensions and backward retractions of ``x``, as (event, dir);
-    ``extensions`` raises ``NotAConfiguration`` when x is no configuration."""
-    x = frozenset(x)
-    return ({(e, "fwd") for e in c.extensions(x)}
-            | {(e, "bwd") for e in c.retractions(x)})
 
 
 def depth(c: ConfStruct, e) -> int:

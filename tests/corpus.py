@@ -8,21 +8,26 @@ instances of the expansion law, which does not (pairs with a known answer).
 All stay small so every denotation is: the first two within four prefixes,
 a rewritten term within six, and the processes an expansion composes within
 two events each.  ``ccs_steps``, the plain forward-only steps of a term, is
-the reference the tests hold denotations and reversible steps against, and
-``violations`` checks that an event map is a morphism of structures.
+the reference the tests hold denotations and reversible steps against,
+``violations`` checks that an event map is a morphism of structures, and
+``recursive_causes`` is the reference for ``ConfStruct.causes``.  The
+structure helpers only the tests use live here too: ``restrict_events``,
+``parallel_full`` and ``transitions``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 from revccs.syntax import (TAU, Action, CcsTerm, Nil, NIL, Par, Prefix,
                            Process, Restrict, Sum, all_names, collapse,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
-from revccs.confstruct import Morphism, PairLabel, SyncEvent
+from revccs.confstruct import (ConfStruct, Morphism, PairLabel, ProductResult,
+                               SyncEvent, _sync_pair, product)
 from revccs.encoding import encode_ccs
 from revccs.rccs import _branches, ccs_state_key
 
@@ -234,6 +239,45 @@ FIG_TERMS = {
     "C3": parse("a.0 + a.b.0"),
     "C4": parse("a.b.0 + a.b.0"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Structure helpers and references
+
+def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
+    keep = frozenset(keep)
+    return c.restricted(sum(1 << i for i, e in enumerate(c.tags) if e in keep))
+
+
+def parallel_full(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
+    return product(c1, c2, _sync_pair)
+
+
+def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
+    """Forward extensions and backward retractions of ``x``, as (event, dir);
+    ``extensions`` raises ``NotAConfiguration`` when x is no configuration."""
+    x = frozenset(x)
+    return ({(e, "fwd") for e in c.extensions(x)}
+            | {(e, "bwd") for e in c.retractions(x)})
+
+
+def recursive_causes(c: ConfStruct, y: int, e: int) -> int:
+    """The strict causes of event ``e`` in configuration ``y``, as a mask.
+
+    By definition d lies below e in y when every sub-configuration of y
+    holding e holds d.  On a stable structure that order restricts to
+    sub-configurations: if w ⊆ y holds e, and a sub-configuration z of y
+    holds e but not d, then so does z ∩ w, a configuration by stability
+    (y bounds both).  So for any j ≠ e with w = y \\ {j} a configuration,
+    e has the same causes in w as in y, and j is not among them.  With no
+    such j, y is the only sub-configuration holding e (a covering chain
+    from a smaller one would end by adding some j ≠ e), and every other
+    event of y is a cause.  This recurrence assumes stability.
+    """
+    for j in c.rets[y]:
+        if j != e:
+            return recursive_causes(c, y ^ 1 << j, e)
+    return y & ~(1 << e)
 
 
 # ---------------------------------------------------------------------------

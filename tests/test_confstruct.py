@@ -2,15 +2,15 @@
 
 import pytest
 
-from corpus import enumerated_terms, is_morphism, random_terms, violations
+from corpus import (enumerated_terms, is_morphism, parallel_full, random_terms,
+                    recursive_causes, restrict_events, transitions, violations)
 from revccs.syntax import TAU, Par, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
                                canonical_event_ids, causal_order, coproduct,
                                depth, embeds, from_json, isomorphic, parallel,
-                               parallel_full, prefix, product, prune, relabel,
-                               residual, restrict_events, restrict_name,
-                               to_dot, to_json, transitions, validate)
+                               prefix, product, prune, relabel, residual,
+                               restrict_name, to_dot, to_json, validate)
 from revccs.encoding import encode_ccs
 
 A, B = inp("a"), inp("b")
@@ -313,6 +313,40 @@ def test_index_matches_definitions():
             for e, below in causes.items():
                 assert c.causes(m, c.bit[e]) == sum(
                     1 << c.bit[d] for d in below), (unparse(t), x, e)
+
+
+def test_causes_match_the_recursive_reference():
+    # ``causes`` reads e's one history inside y; the recurrence it replaced
+    # agrees on every configuration and event of it: corpus structures,
+    # random terms, sync-4' and three terms whose events have up to 73, 20
+    # and 9 histories (parallel outputs kept apart)
+    terms = (enumerated_terms() + random_terms(60, seed=7)
+             + [parse("a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | {d.'d.0 + 'd.d.0 + tau.0}")])
+    many = [encode_ccs(collapse(parse(t), par_rule=False)) for t in (
+        "a.a.a.a.0 | 'a.0 | 'a.0 | 'a.0 | 'a.0", "a.a.a.0 | 'a.'a.0 | 'a.0 | 'a.0",
+        "a.b.c.0 | 'a.0 | 'a.0 | 'b.0 | 'b.0 | 'c.0 | 'c.0")]
+    assert [max(map(len, c.histories)) for c in many] == [73, 20, 9]
+    for c in [encode_ccs(t) for t in terms] + many:
+        for y in c.exts:
+            for e in cs.bits(y):
+                assert c.causes(y, e) == recursive_causes(c, y, e), (c, y, e)
+
+
+def test_causes_answer_on_unstable_structures():
+    # c has two histories inside {a,b,c}, and {d,e} holds no history of d or
+    # e; ``validate`` rejects both, and ``causes`` still answers with a mask
+    # within y, the first history found or else y without the event
+    c = struct([(), ("a",), ("b",), ("a", "c"), ("b", "c"), ("a", "b", "c"),
+                ("d", "e")], dict.fromkeys("abcde", A))
+    assert {kind for kind, _ in validate(c)} >= {"stability", "coincidence-freeness"}
+    bit = c.bit
+    assert c.histories[bit["c"]] == (1 << bit["a"] | 1 << bit["c"],
+                                     1 << bit["b"] | 1 << bit["c"])
+    for y in c.exts:
+        for e in cs.bits(y):
+            assert not c.causes(y, e) & ~(y ^ 1 << e)
+    assert c.causes(c.mask_of(frozenset("abc")), bit["c"]) == 1 << bit["a"]
+    assert c.causes(c.mask_of(frozenset("de")), bit["d"]) == 1 << bit["e"]
 
 
 def _subterms(t):

@@ -699,37 +699,45 @@ def test_cached_verdicts_are_frozen():
         False, ("B", 2), "configuration {a,b} unmatched in backward stratum 2")
 
 
-def test_growth_asks_each_cause_mask_once(monkeypatch):
-    # HHPB asks ``ConfStruct.causes`` once per triple and extension, and the
-    # structure's memo computes each (configuration, event) key once: on
-    # sync-4 against sync-4' the top-level calls that find no memo entry
-    # (the memo grows) are at most the left structure's 2,500 distinct keys
-    # (one per triple and left extension would make 5,528), and no key
-    # misses twice; the recursion inside ``causes`` is not counted
-    calls, keys, depth = collections.Counter(), collections.Counter(), [0]
-    causes = ConfStruct.causes
+def test_histories_built_once_and_causes_asked_once_per_child(monkeypatch):
+    # each structure builds its histories table once, on the first
+    # ``causes`` an ``hhpb`` call asks of it, and a second call builds none;
+    # growth asks ``ConfStruct.causes`` of either side at most once per
+    # candidate child: a parent triple, a left extension and a label-matched
+    # right extension that is the highest retraction of the configuration
+    # it makes (sync-4 against sync-4')
+    built, calls = collections.Counter(), collections.Counter()
+    histories, causes = ConfStruct.histories, ConfStruct.causes
 
-    def counted(self, y, e):
-        known = len(self._causes)
-        depth[0] += 1
-        try:
-            return causes(self, y, e)
-        finally:
-            depth[0] -= 1
-            if not depth[0] and len(self._causes) > known:
-                calls[id(self)] += 1
-                keys[id(self), y, e] += 1
+    def counted_histories(self):
+        if self._histories is None:
+            built[id(self)] += 1
+        return histories.fget(self)
 
+    def counted_causes(self, y, e):
+        calls[id(self)] += 1
+        return causes(self, y, e)
+
+    monkeypatch.setattr(ConfStruct, "histories", property(counted_histories))
     encode_ccs.cache_clear()
     hhpb.cache_clear()
     s1, s2 = encode_ccs(_sync(4)), encode_ccs(_sync(4, True))
-    monkeypatch.setattr(ConfStruct, "causes", counted)
     assert not hhpb(s1, s2).related
-    # each key is an extension: a configuration and an event it may add
-    assert sum(map(len, s1.exts.values())) == 2500
-    assert 0 < calls[id(s1)] <= 2500
-    assert 0 < calls[id(s2)] <= sum(map(len, s2.exts.values()))
-    assert set(keys.values()) == {1}
+    assert built == {id(s1): 1, id(s2): 1}
+    hhpb.cache_clear()
+    assert not hhpb(s1, s2).related
+    assert built == {id(s1): 1, id(s2): 1}
+
+    monkeypatch.setattr(ConfStruct, "causes", counted_causes)
+    g = _Game(s1, s2)
+    layers = _all_triples(g)
+    children = sum(
+        g.match[e1] >> e2 & 1 and s2.rets[m2 | 1 << e2][-1] == e2
+        for layer in layers for ms in layer.values()
+        for m1, m2 in [(ms & g.left, ms >> g.high)]
+        for e1 in s1.exts[m1] for e2 in s2.exts[m2])
+    assert 0 < calls[id(s1)] <= children
+    assert 0 < calls[id(s2)] <= children
 
 
 def _least_failing_stratum(s1, s2):

@@ -5,10 +5,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from corpus import (_random_term, enumerated_terms, expansion_pair, law_pair,
-                    random_terms)
+                    parallel_full, random_terms, transitions)
 from revccs.syntax import collapse, instantiate, parse, unparse
-from revccs.confstruct import (causal_order, parallel_full, product, residual,
-                               transitions, validate)
+from revccs.confstruct import causal_order, product, residual, validate
 from revccs.encoding import encode_ccs
 from revccs.equivalences import (barbed_bf_bisim_structs, barbed_bf_bisim_terms,
                                  forward_bisim_structs, hhpb, hhpb_oracle,
