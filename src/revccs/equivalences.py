@@ -10,7 +10,10 @@ graphs, the barbed game on only the configurations that silent moves reach;
 the barbed game on reversible terms is kept as the operational reference.
 When the history-preserving game fails, a discriminating context is
 searched for among testers read off the configurations of either
-denotation, each verified in the barbed game.
+denotation, each verified in the barbed game.  All three games are
+equivalences, so each relates equal structures (the same numbered events,
+labels and configurations) through the identity without being played, and
+no context separates them.
 
 The games run on each structure's event numbering (``ConfStruct.tags``):
 configurations are masks of event bits, a history-preserving triple is keyed
@@ -60,14 +63,26 @@ class EquivalenceVerdict(Record, defaults={
 # bit ``iso`` just above them marking an isomorphism, and a set of triples
 # is a list of such layers by size; the empty triple is 0 -> iso.
 
+class _Masks(dict):
+    """Each configuration's extensions as one mask, computed on first read."""
+
+    def __init__(self, exts: dict):
+        self.exts = exts
+
+    def __missing__(self, m: int) -> int:
+        every = self[m] = sum(1 << e for e in self.exts[m])
+        return every
+
+
 class _Game:
     """The two structures one decision compares, the left retraction table,
     the slot width of a packed bijection, the mask ``left``, the bit ``iso``
     and the shift ``high`` that lay out a triple's value, and for each left
-    event the mask of the right events with its label."""
+    event (``match``) and each right one (``peers``) the mask of the right
+    events with its label."""
 
     __slots__ = ("c1", "c2", "width", "slot", "left", "iso", "high", "match",
-                 "rets1")
+                 "peers", "rets1")
 
     def __init__(self, c1: ConfStruct, c2: ConfStruct):
         self.c1, self.c2, self.rets1 = c1, c2, c1.rets
@@ -79,6 +94,7 @@ class _Game:
         for b, label in enumerate(c2.tag_labels):
             rows[label] = rows.get(label, 0) | 1 << b
         self.match = [rows.get(label, 0) for label in c1.tag_labels]
+        self.peers = [rows[label] for label in c2.tag_labels]
 
     def image(self, f: int, y1: int, e1: int) -> int:
         """The mask of the right events f maps e1's causes in y1 to."""
@@ -120,35 +136,42 @@ def _all_triples(g: _Game) -> list:
     event, which is maximal; the extended bijection reflects both parts iff
     f reflects the first and the cause images fill the second.
     """
-    c1, exts1, exts2, rets2, causes2 = (g.c1, g.c1.exts, g.c2.exts, g.c2.rets,
-                                        g.c2.causes)
-    width, match, image_of = g.width, g.match, g.image
+    c1, exts2, rets2, causes2 = g.c1, g.c2.exts, g.c2.rets, g.c2.causes
+    width, match, peers, image_of = g.width, g.match, g.peers, g.image
     left, iso, high = g.left, g.iso, g.high
+    # for each right event, the left events with its label
+    partners = [sum(1 << e1 for e1, row in enumerate(match) if row >> e2 & 1)
+                for e2 in range(len(peers))]
     layers = [{0: iso}]
     for _ in range(c1.max_card):
-        # canonical: a right configuration -> the bits of its extensions e2
-        # that are the highest retraction of the configuration they make
-        grown, canonical = {}, {}
+        # canonical: a right configuration -> the left events whose label one
+        # of its extensions e2 that is the highest retraction of the
+        # configuration it makes carries, and by label row in ``match`` each
+        # such e2's slot, its configuration shifted into place and its causes
+        grown, canonical, every1 = {}, {}, _Masks(c1.exts)
         for f, ms in layers[-1].items():
             m1, m2, flag = ms & left, ms >> high, ms & iso
-            every = canonical.get(m2)
-            if every is None:
-                every = canonical[m2] = sum(1 << e2 for e2 in exts2[m2]
-                                            if rets2[m2 | 1 << e2][-1] == e2)
-            for e1 in exts1[m1]:
-                row = match[e1] & every
-                if not row:
-                    continue
-                shift, y1 = e1 * width, m1 | 1 << e1
+            found = canonical.get(m2)
+            if found is None:
+                wanted, answers = 0, {}
+                for e2 in exts2[m2]:
+                    y2 = m2 | 1 << e2
+                    if rets2[y2][-1] == e2:
+                        wanted |= partners[e2]
+                        answers.setdefault(peers[e2], []).append(
+                            (e2 + 1, y2 << high, causes2(y2, e2)))
+                found = canonical[m2] = wanted, answers
+            todo, answers = every1[m1] & found[0], found[1]
+            while todo:                 # the left extensions some e2 matches
+                low = todo & -todo
+                todo ^= low
+                e1 = low.bit_length() - 1
+                shift, y1 = e1 * width, m1 | low
                 image = image_of(f, y1, e1)
-                while row:
-                    low = row & -row    # e2's bit; its length, e2 + 1, is
-                    row ^= low          # e2's slot in the packed bijection
-                    y2, held = m2 | low, low.bit_length()
-                    below = causes2(y2, held - 1)
+                for held, y2, below in answers[match[e1]]:
                     if not image & ~below:
                         grown[f | held << shift] = (
-                            y1 | y2 << high | flag * (image == below))
+                            y1 | y2 | flag * (image == below))
         layers.append(grown)
     return layers
 
@@ -204,25 +227,24 @@ def _strategy(g: _Game) -> Optional[dict]:
             if parent not in chosen:
                 chosen[parent] = ms ^ (1 << e1 | 1 << (f >> shift & slot) - 1 + high)
                 stack.append(parent)
-        if _unanswered(f, ms, g, chosen, answer) or len(chosen) > cap:
+        if (_unanswered(f, ms, sum(1 << e2 for e2 in exts2[m2]), g, chosen, answer)
+                or len(chosen) > cap):
             return None
     return chosen
 
 
-def _unanswered(f: int, ms: int, g: _Game, reference, answer=None
+def _unanswered(f: int, ms: int, every: int, g: _Game, reference, answer=None
                 ) -> Optional[tuple]:
     """The triple's first left extension with no answer in ``reference``, as
     (True, its bit), or else its first such right one, as (False, its bit),
-    looking up label-matched pairs only.  Given ``answer``, each such
+    looking up label-matched pairs only; ``every`` is the mask of the right
+    configuration's extensions.  Given ``answer``, each such
     challenge goes to it first, and the scan passes it if ``answer`` adds an
     answer to ``reference`` and returns its right bit (else 0): as
     ``reference`` only grows, one scan meets the challenges that a scan
     restarted after each answer would."""
-    ext1, ext2 = g.c1.exts[ms & g.left], g.c2.exts[ms >> g.high]
-    width, match = g.width, g.match
-    every = answered = 0            # the right extensions, and those answered
-    for e2 in ext2:
-        every |= 1 << e2
+    ext1, width, match = g.c1.exts[ms & g.left], g.width, g.match
+    answered = 0                    # the right extensions answered
     for e1 in ext1:
         shift, row = e1 * width, match[e1] & every
         while row:
@@ -246,7 +268,8 @@ def _unanswered(f: int, ms: int, g: _Game, reference, answer=None
 
 
 def _forth_ok(f: int, ms: int, g: _Game, reference) -> Optional[str]:
-    found = _unanswered(f, ms, g, reference)
+    found = _unanswered(f, ms, sum(1 << e2 for e2 in g.c2.exts[ms >> g.high]),
+                        g, reference)
     if found:
         c, word = (g.c1, "left") if found[0] else (g.c2, "right")
         return f"{word} extension {c.tag_labels[found[1]]} unanswered"
@@ -269,8 +292,11 @@ def _forth(g: _Game, layers: list) -> list:
     """The forward half of a layered pass over ``layers`` (triples by size),
     filtered in place from the top down: each layer keeps the triples whose
     forward challenges are answered in the layer above, the top one whole."""
+    high = g.high
     for layer, above in zip(layers[-2::-1], layers[:0:-1]):
-        for f in [f for f, ms in layer.items() if _unanswered(f, ms, g, above)]:
+        every2 = _Masks(g.c2.exts)      # many triples share a right configuration
+        for f in [f for f, ms in layer.items()
+                  if _unanswered(f, ms, every2[ms >> high], g, above)]:
             del layer[f]
     return layers
 
@@ -327,6 +353,8 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     triple relates every left configuration, so then no stratum misses one.
     R lies within the forward layers, which thus seed the fixpoint.
     """
+    if c1 == c2:
+        return EquivalenceVerdict(True)
     g = _Game(c1, c2)
     if _strategy(g) is not None:
         return EquivalenceVerdict(True)
@@ -539,6 +567,8 @@ def barbed_bf_bisim_structs(c1: ConfStruct, c2: ConfStruct, starts=None
     events.  Bisimilarity depends only on what moves reach, so this part
     answers, witness included, as the whole graph does.
     """
+    if c1 == c2:
+        return EquivalenceVerdict(True)
     return _silent_game([(c.tag_labels, c.exts.__getitem__) for c in (c1, c2)],
                         starts)
 
@@ -587,6 +617,8 @@ def forward_bisim_structs(c1: ConfStruct, c2: ConfStruct) -> bool:
     Extensions only grow a configuration, so the graph is acyclic and needs
     no refinement: visited largest first, each configuration's class is the
     set of its (label, target class) pairs, interned across both sides."""
+    if c1 == c2:
+        return True
     ids: dict = {}
     labels = [[ids.setdefault(a, len(ids)) for a in c.tag_labels] for c in (c1, c2)]
     width, classes, start = len(ids), {}, []
@@ -658,6 +690,8 @@ def synthesize_context(p1: Process, p2: Process) -> Optional[Context]:
     labels; each is verified before it is returned.
     """
     s1, s2 = encode_ccs(p1), encode_ccs(p2)
+    if s1 == s2:
+        return None
     if not barbed_bf_bisim_structs(s1, s2).related:
         return HOLE
     taken = all_names(p1) | all_names(p2)

@@ -44,6 +44,7 @@ SYNC_2_EXPANDED = parse("a.0 | 'a.0 | {b.'b.0 + 'b.b.0 + tau.0}")
 TAUS_3 = collapse(parse("tau.0 | tau.0 | tau.0"), par_rule=False)
 SYNC_4 = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | d.0 | 'd.0"
 SYNC_4_EXPANDED = "a.0 | 'a.0 | b.0 | 'b.0 | c.0 | 'c.0 | {d.'d.0 + 'd.d.0 + tau.0}"
+SYNC_4_REVERSED = "d.0 | 'd.0 | c.0 | 'c.0 | b.0 | 'b.0 | a.0 | 'a.0"
 
 
 class TestStratification:
@@ -541,7 +542,9 @@ def test_forward_game_refines_no_partition(monkeypatch):
 
 
 def test_barbed_game_numbers_the_silent_part(monkeypatch):
-    # sync-4 against itself: 2^4 silent configurations a side, of 5^4
+    # sync-4 against its channel-reversed spelling, a structure numbered
+    # apart (equal ones are related unplayed): 2^4 silent configurations a
+    # side, of 5^4
     played = []
 
     def counted(barbs, *rest):
@@ -549,10 +552,61 @@ def test_barbed_game_numbers_the_silent_part(monkeypatch):
         return _barbed_game(barbs, *rest)
 
     monkeypatch.setattr(equivalences, "_barbed_game", counted)
-    assert main(["check", SYNC_4, SYNC_4, "--equiv", "barbed",
+    assert main(["check", SYNC_4, SYNC_4_REVERSED, "--equiv", "barbed",
                  "--max-events", "16"]) == 0
     assert played == [32]
     assert len(encode_ccs(parse(SYNC_4)).exts) == 625
+
+
+def test_equal_denotations_are_related_unplayed(monkeypatch):
+    # sync-4 against itself, and a law pair whose terms differ but encode to
+    # equal structures: the three games relate them through the identity,
+    # with no strategy, silent game or candidate context built and, in the
+    # forward game, no extension read; sync-4 against its channel-reversed
+    # spelling, numbered apart, still reaches the strategy, which closes
+    # with one triple per configuration
+    class Counted(dict):
+        reads = 0
+
+        def __getitem__(self, m):
+            Counted.reads += 1
+            return dict.__getitem__(self, m)
+
+        def __iter__(self):
+            Counted.reads += 1
+            return dict.__iter__(self)
+
+    def refused(*args):
+        raise AssertionError("a game was played")
+
+    left, right, _ = law_pair(25)
+    assert unparse(left) != unparse(right)
+    strategy = equivalences._strategy
+    for name in ("_strategy", "_silent_game", "_candidate"):
+        monkeypatch.setattr(equivalences, name, refused)
+    for p1, p2 in [(parse(SYNC_4), parse(SYNC_4)), (left, right)]:
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        assert s1 == s2
+        hhpb.cache_clear()
+        assert hhpb(s1, s2) == barbed_bf_bisim_structs(s1, s2) == EquivalenceVerdict(True)
+        assert forward_bisim_structs(*(ConfStruct._built(
+            c.tags, c.tag_labels, Counted(c.exts)) for c in (s1, s2)))
+        assert synthesize_context(p1, p2) is None
+    assert Counted.reads == 0
+
+    chosen = []
+
+    def recorded(g):
+        found = strategy(g)
+        chosen.append(len(found))
+        return found
+
+    monkeypatch.setattr(equivalences, "_strategy", recorded)
+    hhpb.cache_clear()
+    s1, s2 = encode_ccs(parse(SYNC_4)), encode_ccs(parse(SYNC_4_REVERSED))
+    assert s1 != s2
+    assert hhpb(s1, s2) == EquivalenceVerdict(True)
+    assert chosen == [625]
 
 
 # ---------------------------------------------------------------------------
