@@ -360,11 +360,10 @@ def _rooted(*operands: ConfStruct) -> None:
         raise NotAConfiguration("an operand lacks the empty configuration")
 
 
-def product(c1: ConfStruct, c2: ConfStruct,
-            pair_label: Callable = PairLabel) -> ProductResult:
+def product(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
     """Synchronous product, with its projections read off the event pairs
     (see ``ProductSteps`` and ``_product`` for the construction)."""
-    struct = _product(c1, c2, pair_label)
+    struct = _product(c1, c2, PairLabel)
     return ProductResult(struct, *(
         Morphism(struct, c, {e: e[i] for e in struct.tags
                              if e[i] is not None})
@@ -606,34 +605,20 @@ def prune(c: ConfStruct) -> ConfStruct:
 def embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
     """An injective label-preserving event map sending C1 into C2, or None.
 
-    Dead events are pruned on both sides first.
+    Dead events are pruned on both sides first.  Each non-empty
+    configuration's image is checked; e is tried only against f with
+    ``depth(c2, f) <= depth(c1, e)``, as e's least configuration maps to
+    one of that size holding f.
     """
     c1, c2 = prune(c1), prune(c2)
     if (len(c1.tags) > len(c2.tags)
             or len(c1.exts) > len(c2.exts)):
         return None
-    return _embed_search(c1, c2, require_onto=False)
-
-
-def isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:
-    """Label-preserving bijection between events mapping C1 exactly onto C2.
-
-    Dead events are pruned on both sides first.
-    """
-    c1, c2 = prune(c1), prune(c2)
-    if (len(c1.tags) != len(c2.tags)
-            or len(c1.exts) != len(c2.exts)):
-        return False
-    return _embed_search(c1, c2, require_onto=True) is not None
-
-
-def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | None:
     order = sorted(c1.events, key=lambda e: (depth(c1, e), repr(e)))
     by_event = {e: [x for x in c1.configs if e in x] for e in order}
     candidates = {
         e: [f for f in c2.events
-            if c2.label(f) == c1.label(e)
-            and (not require_onto or depth(c2, f) == depth(c1, e))]
+            if c2.label(f) == c1.label(e) and depth(c2, f) <= depth(c1, e)]
         for e in order
     }
     if any(not cs for cs in candidates.values()):
@@ -650,10 +635,6 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
 
     def rec(i: int):
         if i == len(order):
-            if require_onto:
-                image = {frozenset(mapping[ev] for ev in x) for x in c1.configs}
-                if image != c2.configs:
-                    return None
             return dict(mapping)
         e = order[i]
         for f in candidates[e]:
@@ -670,6 +651,19 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
         return None
 
     return rec(0)
+
+
+def isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:
+    """Label-preserving bijection between events mapping C1 exactly onto C2.
+
+    Dead events are pruned on both sides first.  Between structures of as
+    many events and configurations, both holding the empty configuration or
+    neither (``embeds`` never checks it), an embedding is one: injective on
+    configurations, its image is all of C2's.
+    """
+    c1, c2 = prune(c1), prune(c2)
+    return (len(c1.tags) == len(c2.tags) and len(c1.exts) == len(c2.exts)
+            and (0 in c1.exts) == (0 in c2.exts) and embeds(c1, c2) is not None)
 
 
 # ---------------------------------------------------------------------------

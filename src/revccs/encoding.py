@@ -15,8 +15,9 @@ from .confstruct import ConfStruct
 from .syntax import (Nil, Par, Prefix, Process, Record, Restrict, Sum,
                      is_collapsed, push_restrictions, unparse,
                      detect_auto_conflict_or_concurrency)
-from .rccs import (RTerm, _sorted_process, backward_steps, erase,
-                   forward_steps, normalize, state_key, trace_to_origin)
+from .rccs import (IncoherentTerm, RTerm, _sorted_process, backward_steps,
+                   erase, forward_steps, reachable_states, state_key,
+                   trace_to_origin)
 
 
 class NoMatchingEvent(ValueError):
@@ -81,25 +82,24 @@ def address(origin_struct: ConfStruct, trace) -> frozenset:
     return x
 
 
-def encode_rccs(t: RTerm, strict: bool = True) -> Address:
+def encode_rccs(t: RTerm) -> Address:
     """Address of a coherent reversible term.
 
-    With ``strict`` the origin must be collapsed and free of autoconflict
-    and autoconcurrency, the conditions under which addresses are unique.
+    The origin must be collapsed and free of autoconflict and
+    autoconcurrency, the conditions under which addresses are unique.
     """
     states, labels = trace_to_origin(t)
     # normalize the origin: undoing a step restores the fired branch
     # leftmost and re-seats hoisted restrictions, so congruent states would
     # otherwise disagree on event identities
     origin_p = _sorted_process(push_restrictions(erase(states[0])))
-    if strict:
-        if not is_collapsed(origin_p):
-            raise ValueError(f"origin is not collapsed: {unparse(origin_p)}")
-        clashes = detect_auto_conflict_or_concurrency(origin_p)
-        if clashes:
-            raise ValueError(
-                f"origin has an autoconflict or autoconcurrency on "
-                f"{clashes[0].label}: {unparse(origin_p)}")
+    if not is_collapsed(origin_p):
+        raise ValueError(f"origin is not collapsed: {unparse(origin_p)}")
+    clashes = detect_auto_conflict_or_concurrency(origin_p)
+    if clashes:
+        raise ValueError(
+            f"origin has an autoconflict or autoconcurrency on "
+            f"{clashes[0].label}: {unparse(origin_p)}")
     struct = encode_ccs(origin_p)
     x = address(struct, list(zip(labels, states[1:])))
     return Address(struct, origin_p, x)
@@ -129,26 +129,24 @@ def check_operational_correspondence(t: RTerm,
                                      max_states: Optional[int] = 500
                                      ) -> CorrespondenceReport:
     """Check, over every reachable state, that forward steps match extension
-    events and backward steps match retraction events, with equal labels."""
+    events and backward steps match retraction events, with equal labels.
+
+    The states are ``reachable_states``' nodes; by the loop lemma every
+    step of a coherent term lands on one.  Over ``max_states`` of them the
+    check fails with "state bound exceeded"; an incoherent term raises
+    ``IncoherentTerm``."""
     report = CorrespondenceReport()
-    t = normalize(t)
-    addresses: dict = {}    # state key -> address, one replay per state
-
-    def address_of(key, term) -> Address:
-        if key not in addresses:
-            addresses[key] = encode_rccs(term)
-        return addresses[key]
-
-    frontier = [(state_key(t), t)]
-    seen = {frontier[0][0]}
-    while frontier:
-        key, cur = frontier.pop()
-        report.states_checked += 1
-        if max_states is not None and report.states_checked > max_states:
-            report.fail("state bound exceeded")
-            return report
-        addr = address_of(key, cur)
-        struct, x = addr.struct, addr.config
+    try:
+        nodes = reachable_states(t, max_states).nodes
+    except IncoherentTerm:
+        raise
+    except ValueError:                  # the state bound
+        report.fail("state bound exceeded")
+        return report
+    addresses = {key: encode_rccs(cur) for key, cur in nodes.items()}
+    report.states_checked = len(nodes)
+    for key, cur in nodes.items():
+        struct, x = addresses[key].struct, addresses[key].config
         for word, steps, noun, events in (
                 ("forward", forward_steps(cur, check=False), "extension",
                  struct.extensions(x)),
@@ -156,11 +154,15 @@ def check_operational_correspondence(t: RTerm,
                  struct.retractions(x))):
             used = set()
             for lbl, nxt in steps:
-                k = state_key(nxt)
+                target = addresses.get(state_key(nxt))
+                if target is None:
+                    report.fail(f"{word} step {lbl} from {cur} leaves the "
+                                f"reachable states")
+                    continue
                 # extensions lie outside x and retractions inside, so one
                 # event of the right kind in the symmetric difference is a
                 # step of the right direction
-                delta = address_of(k, nxt).config ^ x
+                delta = target.config ^ x
                 e = next(iter(delta), None)
                 if len(delta) != 1 or e not in events:
                     report.fail(f"{word} step {lbl} from {cur} has no "
@@ -170,9 +172,6 @@ def check_operational_correspondence(t: RTerm,
                 if struct.label(e) != lbl.action:
                     report.fail(f"{word} step {lbl} from {cur} hit label "
                                 f"{struct.label(e)}")
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append((k, nxt))
             if set(events) - used:
                 report.fail(f"unmatched {noun} events at {cur}: "
                             f"{sorted(map(repr, set(events) - used))}")

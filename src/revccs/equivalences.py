@@ -351,7 +351,10 @@ def hhpb(c1: ConfStruct, c2: ConfStruct) -> EquivalenceVerdict:
     forward layers, by induction down from the whole top layer, and the
     backward layers, by induction up from layer 0; an R holding the empty
     triple relates every left configuration, so then no stratum misses one.
-    R lies within the forward layers, which thus seed the fixpoint.
+    R lies within the forward layers, which thus seed the fixpoint.  Of the
+    forward strata only F0 can miss one: a surviving triple answers each
+    left extension with a surviving child, so once the empty triple
+    survives, a covering chain up from it reaches every left configuration.
     """
     if c1 == c2:
         return EquivalenceVerdict(True)
@@ -401,20 +404,22 @@ def build_stratification(c1: ConfStruct, c2: ConfStruct) -> StratifiedRelation:
 def _diagnose(g: _Game, forth: list):
     """Least stratum whose layers, ``forth`` and the backward layers built
     from it only as far as that stratum, exclude some left configuration;
-    the witness is the least one excluded in ``ordered()`` order."""
+    the witness is the least one excluded in ``ordered()`` order.  Of the
+    forward strata only F0 can fail (see ``hhpb``): it fails iff the empty
+    triple is not in ``forth[0]``."""
+    if 0 not in forth[0]:
+        return ("F", 0), "configuration {} unmatched in forward stratum 0"
     strata, back = [[] for _ in forth], _back(g, forth)
     for m1 in g.c1.exts:
         strata[m1.bit_count()].append(m1)
-    for i, layer in enumerate(strata):
-        for side, word in (("F", "forward"), ("B", "backward")):
-            triples = forth[i] if side == "F" else next(back)
-            covered = {ms & g.left for ms in triples.values()}
-            missed = [m1 for m1 in layer if m1 not in covered]
-            if missed:
-                names = sorted(str(g.c1.tag_labels[e])
-                               for e in bits(min(missed, key=bits)))
-                return ((side, i), "configuration {" + ",".join(names) + "} "
-                        f"unmatched in {word} stratum {i}")
+    for i, (layer, triples) in enumerate(zip(strata, back)):
+        covered = {ms & g.left for ms in triples.values()}
+        missed = [m1 for m1 in layer if m1 not in covered]
+        if missed:
+            names = sorted(str(g.c1.tag_labels[e])
+                           for e in bits(min(missed, key=bits)))
+            return (("B", i), "configuration {" + ",".join(names) + "} "
+                    f"unmatched in backward stratum {i}")
     return None, None
 
 

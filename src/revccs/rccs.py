@@ -75,9 +75,6 @@ class TransitionLabel(Record, defaults={"reverse": False}):
     def __str__(self) -> str:
         return f"{self.ident}:{self.action}" + ("*" if self.reverse else "")
 
-    def forward(self) -> "TransitionLabel":
-        return TransitionLabel(self.ident, self.action, False)
-
 
 def lift(p: Process) -> Monitored:
     return Monitored((), p)
@@ -458,6 +455,7 @@ def reachable_states(t: RTerm, max_states: Optional[int] = None) -> StateGraph:
     By the loop lemma these are exactly the states the origin reaches by
     forward moves, so only those are explored.  Edges are recorded in the
     forward direction only; every edge can also be traversed backward.
+    More than ``max_states`` states raise ``ValueError``.
     """
     t = normalize(t)
     start = trace_to_origin(t)[0][0]
@@ -466,12 +464,12 @@ def reachable_states(t: RTerm, max_states: Optional[int] = None) -> StateGraph:
     edge_seen = set()
     frontier = list(nodes.items())
     while frontier:
+        if max_states is not None and len(nodes) > max_states:
+            raise ValueError("state bound exceeded")
         ck, cur = frontier.pop()
         for lbl, nxt in forward_steps(cur, check=False):
             nk = state_key(nxt)
             if nk not in nodes:
-                if max_states is not None and len(nodes) >= max_states:
-                    raise ValueError("state bound exceeded")
                 nodes[nk] = nxt
                 frontier.append((nk, nxt))
             ek = (ck, (lbl.action.kind, lbl.action.channel), nk)

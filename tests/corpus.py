@@ -10,9 +10,11 @@ a rewritten term within six, and the processes an expansion composes within
 two events each.  ``ccs_steps``, the plain forward-only steps of a term, is
 the reference the tests hold denotations and reversible steps against,
 ``violations`` checks that an event map is a morphism of structures, and
-``recursive_causes`` is the reference for ``ConfStruct.causes``.  The
-structure helpers only the tests use live here too: ``restrict_events``,
-``parallel_full`` and ``transitions``.
+``recursive_causes`` is the reference for ``ConfStruct.causes``, and
+``reference_embeds`` and ``reference_isomorphic`` for ``embeds`` and
+``isomorphic``.  The structure helpers only the tests use live here too:
+``restrict_events``, ``parallel_full`` and ``transitions``, and
+``broken_memory`` is an incoherent reversible term.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from revccs.syntax import (TAU, Action, CcsTerm, Nil, NIL, Par, Prefix,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
 from revccs.confstruct import (ConfStruct, Morphism, PairLabel, ProductResult,
-                               SyncEvent, _sync_pair, product)
+                               SyncEvent, depth, parallel, prune)
 from revccs.encoding import encode_ccs
-from revccs.rccs import _branches, ccs_state_key
+from revccs.rccs import FORK, Monitored, Past, RPar, _branches, ccs_state_key
 
 
 ACTIONS = [inp("a"), out("a"), inp("b"), out("b")]
@@ -134,6 +136,15 @@ def random_terms(count: int = 500, seed: int = 20260826,
         seen.add(key)
         keep.append(t)
     return keep
+
+
+def broken_memory() -> RPar:
+    """An incoherent term: two fork halves remembering different
+    synchronization partners."""
+    return RPar(Monitored((FORK, Past(1, inp("a"), Prefix(out("a"), NIL))),
+                          parse("p.0")),
+                Monitored((Past(2, inp("b"), Prefix(out("b"), NIL)),),
+                          parse("q.0")))
 
 
 def _law_rewrites(t: CcsTerm) -> list[tuple[str, CcsTerm]]:
@@ -250,7 +261,11 @@ def restrict_events(c: ConfStruct, keep: Iterable) -> ConfStruct:
 
 
 def parallel_full(c1: ConfStruct, c2: ConfStruct) -> ProductResult:
-    return product(c1, c2, _sync_pair)
+    """``parallel``, with its projections read off the event pairs."""
+    struct = parallel(c1, c2)
+    return ProductResult(struct, *(
+        Morphism(struct, c, {e: e[i] for e in struct.tags if e[i] is not None})
+        for i, c in ((1, c1), (2, c2))))
 
 
 def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
@@ -278,6 +293,81 @@ def recursive_causes(c: ConfStruct, y: int, e: int) -> int:
         if j != e:
             return recursive_causes(c, y ^ 1 << j, e)
     return y & ~(1 << e)
+
+
+# ---------------------------------------------------------------------------
+# Embeddings and isomorphism as an earlier search decided them: isomorphism
+# by its own variant of the search, which pairs only events of equal depth
+# and compares the whole image at the end.  ``embeds`` and ``isomorphic``
+# are held against them.
+
+def reference_embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
+    """An injective label-preserving event map sending C1 into C2, or None.
+
+    Dead events are pruned on both sides first.
+    """
+    c1, c2 = prune(c1), prune(c2)
+    if (len(c1.tags) > len(c2.tags)
+            or len(c1.exts) > len(c2.exts)):
+        return None
+    return _embed_search(c1, c2, require_onto=False)
+
+
+def reference_isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:
+    """Label-preserving bijection between events mapping C1 exactly onto C2.
+
+    Dead events are pruned on both sides first.
+    """
+    c1, c2 = prune(c1), prune(c2)
+    if (len(c1.tags) != len(c2.tags)
+            or len(c1.exts) != len(c2.exts)):
+        return False
+    return _embed_search(c1, c2, require_onto=True) is not None
+
+
+def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | None:
+    order = sorted(c1.events, key=lambda e: (depth(c1, e), repr(e)))
+    by_event = {e: [x for x in c1.configs if e in x] for e in order}
+    candidates = {
+        e: [f for f in c2.events
+            if c2.label(f) == c1.label(e)
+            and (not require_onto or depth(c2, f) == depth(c1, e))]
+        for e in order
+    }
+    if any(not cs for cs in candidates.values()):
+        return None
+    mapping: dict = {}
+    used: set = set()
+
+    def consistent(e) -> bool:
+        for x in by_event[e]:
+            if all(ev in mapping for ev in x):
+                if frozenset(mapping[ev] for ev in x) not in c2.configs:
+                    return False
+        return True
+
+    def rec(i: int):
+        if i == len(order):
+            if require_onto:
+                image = {frozenset(mapping[ev] for ev in x) for x in c1.configs}
+                if image != c2.configs:
+                    return None
+            return dict(mapping)
+        e = order[i]
+        for f in candidates[e]:
+            if f in used:
+                continue
+            mapping[e] = f
+            used.add(f)
+            if consistent(e):
+                res = rec(i + 1)
+                if res is not None:
+                    return res
+            del mapping[e]
+            used.discard(f)
+        return None
+
+    return rec(0)
 
 
 # ---------------------------------------------------------------------------

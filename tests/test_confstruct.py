@@ -1,9 +1,12 @@
 """Configuration structures: axioms, constructions, causality, morphisms."""
 
+import collections
+
 import pytest
 
 from corpus import (enumerated_terms, is_morphism, parallel_full, random_terms,
-                    recursive_causes, restrict_events, transitions, violations)
+                    recursive_causes, reference_embeds, reference_isomorphic,
+                    restrict_events, transitions, violations)
 from revccs.syntax import TAU, Par, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
@@ -453,6 +456,27 @@ class TestComparison:
         c1 = single(A, "x")
         c2 = single(A, "y")
         assert isomorphic(c1, c2)
+
+    def test_answers_match_the_reference_search(self):
+        # every ordered pair of the enumerated corpus, 60 random terms, their
+        # residuals and two invalid structures of equal sizes, the first
+        # embedding into the second, which lacks the empty configuration
+        # that the embedding search never maps: they are not isomorphic
+        terms = enumerated_terms() + random_terms(60, seed=5)
+        encoded = list(dict.fromkeys(map(encode_ccs, terms)))
+        structs = list(dict.fromkeys(encoded + [
+            residual(c, c.config(m)) for c in encoded for m in c.exts if m]))
+        structs += [struct([(), ("a",), ("b",)], {"a": A, "b": B}),
+                    ConfStruct({"a", "b"}, [{"a"}, {"b"}, {"a", "b"}],
+                               {"a": A, "b": B})]
+        found = collections.Counter()
+        for c1 in structs:
+            for c2 in structs:
+                mapped, same = embeds(c1, c2), isomorphic(c1, c2)
+                assert mapped == reference_embeds(c1, c2)
+                assert same == reference_isomorphic(c1, c2)
+                found[mapped is not None, same] += 1
+        assert found[True, True] and found[True, False] and found[False, False]
 
 
 class TestSerialization:

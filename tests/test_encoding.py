@@ -2,16 +2,19 @@
 
 import pytest
 
-from corpus import is_morphism
+from corpus import broken_memory, is_morphism
 from revccs.syntax import (Hole, Par, Prefix, Process, Record, Restrict, Sum,
                            count_holes, inp, instantiate, out, parse,
                            parse_context)
 from revccs.confstruct import (Morphism, depth, embeds, isomorphic, residual,
                                validate)
-from revccs.rccs import erase, forward_steps, lift, normalize, trace_to_origin
+from revccs import encoding
+from revccs.rccs import (IncoherentTerm, TransitionLabel, erase, forward_steps,
+                         lift, normalize, trace_to_origin)
 from revccs.encoding import (Address, AmbiguousEvent, CorrespondenceFailure,
-                             address, check_operational_correspondence,
-                             encode_ccs, encode_rccs)
+                             NoMatchingEvent, address,
+                             check_operational_correspondence, encode_ccs,
+                             encode_rccs)
 
 
 def run(term, *actions):
@@ -85,13 +88,15 @@ class TestAddress:
 
     def test_future_disambiguates(self):
         # firing the a of a.b.0 inside a.b.0 + a.0 must select the event
-        # whose residual still offers b
+        # whose residual still offers b (replayed with ``address``, as
+        # encode_rccs refuses the origin's autoconflict)
         t = run(parse("a.b.0 + a.0"), "a")
-        addr = encode_rccs(t, strict=False)
-        (e,) = addr.config
-        assert embeds(encode_ccs(parse("b.0")),
-                      residual(addr.struct, addr.config)) is not None
-        assert depth(addr.struct, e) == 1
+        states, trace = trace_to_origin(t)
+        struct = encode_ccs(erase(states[0]))
+        x = address(struct, list(zip(trace, states[1:])))
+        (e,) = x
+        assert embeds(encode_ccs(parse("b.0")), residual(struct, x)) is not None
+        assert depth(struct, e) == 1
 
     def test_residual_invariant(self):
         for text, steps in (("a.b.0", ("a",)), ("a.0 | 'a.0", ("tau",)),
@@ -107,7 +112,7 @@ class TestAddress:
 
     def test_precondition_autoconflict(self):
         with pytest.raises(ValueError):
-            encode_rccs(lift(parse("a.0 + a.b.0")), strict=True)
+            encode_rccs(lift(parse("a.0 + a.b.0")))
 
     def test_standalone_address(self):
         t = run(parse("a.b.0"), "a")
@@ -115,6 +120,17 @@ class TestAddress:
         origin_struct = encode_ccs(parse("a.b.0"))
         x = address(origin_struct, list(zip(trace, states[1:])))
         assert len(x) == 1
+
+    def test_replay_matching_no_event(self):
+        states, trace = trace_to_origin(run(parse("a.0"), "a"))
+        with pytest.raises(NoMatchingEvent):
+            address(encode_ccs(parse("b.0")), list(zip(trace, states[1:])))
+
+    def test_replay_matching_two_events(self):
+        # a.0 + a.0 uncollapsed: both a events leave a residual 0 embeds into
+        states, trace = trace_to_origin(run(parse("a.0 + a.0"), "a"))
+        with pytest.raises(AmbiguousEvent):
+            address(encode_ccs(parse("a.0 + a.0")), list(zip(trace, states[1:])))
 
     def test_json(self):
         data = encode_rccs(run(parse("a.0 | b.0"), "a")).to_json()
@@ -218,3 +234,31 @@ class TestCorrespondence:
     def test_raise_on_failure_noop_when_ok(self):
         report = check_operational_correspondence(lift(parse("a.0")))
         report.raise_on_failure()
+
+    def test_state_bound(self):
+        # a.0 | b.0 has four states, 0 has one
+        for text, bound in (("a.0 | b.0", 2), ("0", 0)):
+            report = check_operational_correspondence(lift(parse(text)),
+                                                      max_states=bound)
+            assert not report.ok and report.mismatches == ["state bound exceeded"]
+            with pytest.raises(CorrespondenceFailure, match="state bound exceeded"):
+                report.raise_on_failure()
+
+    def test_incoherent_term_raises(self):
+        with pytest.raises(IncoherentTerm):
+            check_operational_correspondence(broken_memory())
+
+    def test_mismatched_steps_reported(self, monkeypatch):
+        # the check's own forward steps relabel a.0's a step as b, then send
+        # it to a state a.0 never reaches
+        start = lift(parse("a.0"))
+        (lbl, after), = forward_steps(start)
+        relabelled = TransitionLabel(lbl.ident, inp("b"), False)
+        for step, message in (
+                (after, f"forward step {relabelled} from {start} hit label a"),
+                (lift(parse("c.0")), f"forward step {relabelled} from {start} "
+                 f"leaves the reachable states")):
+            monkeypatch.setattr(encoding, "forward_steps", lambda t, check=True: (
+                [(relabelled, step)] if t == start else []))
+            report = check_operational_correspondence(start)
+            assert report.mismatches[0] == message

@@ -863,6 +863,23 @@ def _fixpoint_pairs(top: int = 4):
             + [(TAUS_3, TAUS_3)])
 
 
+def test_forward_layers_cover_every_left_configuration_once_f0_holds():
+    # the lemma behind ``_diagnose``: a surviving triple answers each left
+    # extension with a surviving child, so where the empty triple survives
+    # the forward pass, every forward layer relates every left configuration
+    # of its size, and only F0 can fail among the forward strata
+    seen = collections.Counter()
+    for p1, p2 in _fixpoint_pairs():
+        s1, s2 = encode_ccs(p1), encode_ccs(p2)
+        g = _Game(s1, s2)
+        forth = _forth(g, _all_triples(g))
+        seen[0 in forth[0]] += 1
+        if 0 in forth[0]:
+            covered = {ms & g.left for layer in forth for ms in layer.values()}
+            assert covered == set(s1.exts), (unparse(p1), unparse(p2))
+    assert seen[True] and seen[False]
+
+
 def test_retraction_preimages_are_retractions():
     # the lemma in ``_back_ok``: for every grown triple, each right
     # retraction's preimage is a left retraction, so one backward half over

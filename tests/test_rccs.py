@@ -2,8 +2,8 @@
 
 import pytest
 
-from corpus import ccs_steps, enumerated_terms
-from revccs.syntax import NIL, Prefix, inp, out, parse, unparse
+from corpus import broken_memory, ccs_steps, enumerated_terms
+from revccs.syntax import NIL, inp, parse, unparse
 from revccs.rccs import (FORK, IncoherentTerm, Monitored, Past, RPar,
                          RRestrict, backward_steps, barb, barbs,
                          ccs_state_key, erase, forward_steps,
@@ -144,20 +144,12 @@ class TestCoherence:
         assert is_coherent(t)
 
     def test_broken_memory(self):
-        # two fork halves remembering different synchronization partners
-        left = Monitored((FORK, Past(1, inp("a"), Prefix(out("a"), NIL))),
-                         parse("p.0"))
-        right = Monitored((Past(2, inp("b"), Prefix(out("b"), NIL)),),
-                          parse("q.0"))
-        assert not is_coherent(RPar(left, right))
+        assert not is_coherent(broken_memory())
 
     def test_incoherent_raises(self):
-        half = Monitored((Past(1, inp("a"), NIL), FORK), parse("0"))
-        other = Monitored((FORK,), parse("0"))
-        t = RPar(half, other)
-        if not is_coherent(t):
+        for step in (forward_steps, backward_steps, trace_to_origin):
             with pytest.raises(IncoherentTerm):
-                forward_steps(t)
+                step(broken_memory())
 
 
 class TestOrigin:
