@@ -18,7 +18,7 @@ from .confstruct import (ConfStruct, EMPTY, Morphism, validate, product,
 from .rccs import (Fork, FORK, Past, Monitored, RPar, RRestrict, RTerm,
                    TransitionLabel, IncoherentTerm, lift, erase, normalize,
                    forward_steps, backward_steps, is_coherent, origin,
-                   trace_to_origin, barb, barbs, reachable_states, state_key,
+                   trace_to_origin, barbs, reachable_states, state_key,
                    ccs_state_key)
 from .encoding import (encode_ccs, encode_rccs, address, Address,
                        NoMatchingEvent, AmbiguousEvent, CorrespondenceFailure,

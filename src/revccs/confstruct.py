@@ -564,11 +564,10 @@ def parallel_steps(c1: ConfStruct, c2: ConfStruct) -> ProductSteps:
 
 
 def residual(c: ConfStruct, x: frozenset) -> ConfStruct:
-    """The structure of the futures of configuration ``x``."""
+    """The futures of configuration ``x``: each configuration y ⊇ x as y \\ x, pruned."""
     m = c.mask_of(frozenset(x))         # NotAConfiguration unless it is one
-    configs = [c.config(y ^ m) for y in c.exts if y & m == m]
-    events = set().union(*configs)
-    return ConfStruct(events, configs, {e: c.label(e) for e in events})
+    return prune(ConfStruct._built(c.tags, c.tag_labels,
+                                   {y ^ m: ext for y, ext in c.exts.items() if y & m == m}))
 
 
 def causal_order(c: ConfStruct, x: frozenset) -> frozenset:
@@ -605,52 +604,41 @@ def prune(c: ConfStruct) -> ConfStruct:
 def embeds(c1: ConfStruct, c2: ConfStruct) -> dict | None:
     """An injective label-preserving event map sending C1 into C2, or None.
 
-    Dead events are pruned on both sides first.  Each non-empty
-    configuration's image is checked; e is tried only against f with
-    ``depth(c2, f) <= depth(c1, e)``, as e's least configuration maps to
-    one of that size holding f.
+    Dead events are pruned on both sides first.  C1's events are mapped by
+    (depth, bit), each to C2's bits in ascending order, so every process
+    finds the same map; e is tried only against f with ``depth(c2, f) <=
+    depth(c1, e)``, as e's least configuration maps to one of that size
+    holding f.  A configuration's image is checked when its last event is mapped.
     """
     c1, c2 = prune(c1), prune(c2)
-    if (len(c1.tags) > len(c2.tags)
-            or len(c1.exts) > len(c2.exts)):
+    if len(c1.tags) > len(c2.tags) or len(c1.exts) > len(c2.exts):
         return None
-    order = sorted(c1.events, key=lambda e: (depth(c1, e), repr(e)))
-    by_event = {e: [x for x in c1.configs if e in x] for e in order}
-    candidates = {
-        e: [f for f in c2.events
-            if c2.label(f) == c1.label(e) and depth(c2, f) <= depth(c1, e)]
-        for e in order
-    }
-    if any(not cs for cs in candidates.values()):
+    d1, d2 = c1.depths, c2.depths
+    order = sorted(range(len(c1.tags)), key=lambda e: (d1[e], e))
+    candidates = [[f for f, label in enumerate(c2.tag_labels)
+                   if label == c1.tag_labels[e] and d2[f] <= d1[e]] for e in order]
+    if not all(candidates):
         return None
-    mapping: dict = {}
-    used: set = set()
+    rank = {e: i for i, e in enumerate(order)}
+    closing: list = [[] for _ in order]     # the configurations order[i] completes
+    for ms in map(bits, filter(None, c1.exts)):
+        closing[max(map(rank.get, ms))].append(ms)
+    image = [0] * len(c1.tags)
 
-    def consistent(e) -> bool:
-        for x in by_event[e]:
-            if all(ev in mapping for ev in x):
-                if frozenset(mapping[ev] for ev in x) not in c2.configs:
-                    return False
-        return True
-
-    def rec(i: int):
+    def rec(i: int, used: int) -> bool:
         if i == len(order):
-            return dict(mapping)
-        e = order[i]
-        for f in candidates[e]:
-            if f in used:
-                continue
-            mapping[e] = f
-            used.add(f)
-            if consistent(e):
-                res = rec(i + 1)
-                if res is not None:
-                    return res
-            del mapping[e]
-            used.discard(f)
-        return None
+            return True
+        for f in candidates[i]:
+            if not used >> f & 1:
+                image[order[i]] = f
+                if (all(sum(1 << image[e] for e in ms) in c2.exts for ms in closing[i])
+                        and rec(i + 1, used | 1 << f)):
+                    return True
+        return False
 
-    return rec(0)
+    if not rec(0, 0):
+        return None
+    return {c1.tags[e]: c2.tags[f] for e, f in enumerate(image)}
 
 
 def isomorphic(c1: ConfStruct, c2: ConfStruct) -> bool:

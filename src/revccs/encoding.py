@@ -49,36 +49,27 @@ class Address(Record):
 
     __slots__ = ("struct", "origin", "config")
 
-    def to_json(self) -> dict:
-        ids = cs.canonical_event_ids(self.struct)
-        return {"origin": cs.to_json(self.struct),
-                "current": sorted(ids[e] for e in self.config)}
+
+def _fired(origin_struct: ConfStruct, x: frozenset, lbl, after) -> object:
+    """The one extension event of ``x`` carrying the step's action whose
+    residual the denotation of ``after``, the step's target, embeds into;
+    none or several violate the preconditions.  The step's index is |x|."""
+    remainder = encode_ccs(erase(after))
+    matches = [e for e in origin_struct.extensions(x)
+               if origin_struct.label(e) == lbl.action
+               and cs.embeds(remainder, cs.residual(origin_struct, x | {e})) is not None]
+    if not matches:
+        raise NoMatchingEvent(f"step {len(x)} ({lbl}) matches no event")
+    if len(matches) > 1:
+        raise AmbiguousEvent(f"step {len(x)} ({lbl}) matches {len(matches)} events")
+    return matches[0]
 
 
 def address(origin_struct: ConfStruct, trace) -> frozenset:
-    """Replay a forward trace inside the origin's structure.
-
-    ``trace`` is a list of (label, term-after-the-step) pairs.  At each step
-    exactly one extension event must carry the step's action and leave a
-    residual the remaining term's denotation embeds into; fewer or more
-    matches violate the collapse / no-autoconflict preconditions.
-    """
+    """Replay a forward trace of (label, term-after-the-step) pairs in the structure."""
     x = frozenset()
-    for step, (lbl, after) in enumerate(trace):
-        remainder = encode_ccs(erase(after))
-        matches = []
-        for e in origin_struct.extensions(x):
-            if origin_struct.label(e) != lbl.action:
-                continue
-            if cs.embeds(remainder,
-                         cs.residual(origin_struct, x | {e})) is not None:
-                matches.append(e)
-        if not matches:
-            raise NoMatchingEvent(f"step {step} ({lbl}) matches no event")
-        if len(matches) > 1:
-            raise AmbiguousEvent(
-                f"step {step} ({lbl}) matches {len(matches)} events")
-        x = x | {matches[0]}
+    for lbl, after in trace:
+        x = x | {_fired(origin_struct, x, lbl, after)}
     return x
 
 
@@ -125,6 +116,20 @@ class CorrespondenceReport(Record, frozen=False, factories={"mismatches": list},
             raise CorrespondenceFailure("; ".join(self.mismatches))
 
 
+def _addresses(graph) -> tuple[ConfStruct, dict]:
+    """The origin's structure and each node's configuration in it.  The first
+    node, the origin, is addressed by ``encode_rccs``; the first edge into any
+    other adds one ``_fired`` event to its source's configuration."""
+    first = next(iter(graph.nodes))
+    origin = encode_rccs(graph.nodes[first])
+    configs = {first: origin.config}
+    for src, lbl, dst in graph.edges:
+        if dst not in configs:
+            x = configs[src]
+            configs[dst] = x | {_fired(origin.struct, x, lbl, graph.nodes[dst])}
+    return origin.struct, configs
+
+
 def check_operational_correspondence(t: RTerm,
                                      max_states: Optional[int] = 500
                                      ) -> CorrespondenceReport:
@@ -132,21 +137,21 @@ def check_operational_correspondence(t: RTerm,
     events and backward steps match retraction events, with equal labels.
 
     The states are ``reachable_states``' nodes; by the loop lemma every
-    step of a coherent term lands on one.  Over ``max_states`` of them the
-    check fails with "state bound exceeded"; an incoherent term raises
-    ``IncoherentTerm``."""
+    step of a coherent term lands on one, and ``_addresses`` addresses each
+    once.  Over ``max_states`` of them the check fails with "state bound
+    exceeded"; an incoherent term raises ``IncoherentTerm``."""
     report = CorrespondenceReport()
     try:
-        nodes = reachable_states(t, max_states).nodes
+        graph = reachable_states(t, max_states)
     except IncoherentTerm:
         raise
     except ValueError:                  # the state bound
         report.fail("state bound exceeded")
         return report
-    addresses = {key: encode_rccs(cur) for key, cur in nodes.items()}
-    report.states_checked = len(nodes)
-    for key, cur in nodes.items():
-        struct, x = addresses[key].struct, addresses[key].config
+    struct, configs = _addresses(graph)
+    report.states_checked = len(graph.nodes)
+    for key, cur in graph.nodes.items():
+        x = configs[key]
         for word, steps, noun, events in (
                 ("forward", forward_steps(cur, check=False), "extension",
                  struct.extensions(x)),
@@ -154,7 +159,7 @@ def check_operational_correspondence(t: RTerm,
                  struct.retractions(x))):
             used = set()
             for lbl, nxt in steps:
-                target = addresses.get(state_key(nxt))
+                target = configs.get(state_key(nxt))
                 if target is None:
                     report.fail(f"{word} step {lbl} from {cur} leaves the "
                                 f"reachable states")
@@ -162,7 +167,7 @@ def check_operational_correspondence(t: RTerm,
                 # extensions lie outside x and retractions inside, so one
                 # event of the right kind in the symmetric difference is a
                 # step of the right direction
-                delta = target.config ^ x
+                delta = target ^ x
                 e = next(iter(delta), None)
                 if len(delta) != 1 or e not in events:
                     report.fail(f"{word} step {lbl} from {cur} has no "

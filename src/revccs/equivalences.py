@@ -750,10 +750,6 @@ class CongruenceReport(Record, frozen=False, factories={"entries": list}):
         return (not self.base_related
                 or all(h and b for _, h, b in self.entries))
 
-    @property
-    def discriminating(self) -> list:
-        return [ctx for ctx, h, b in self.entries if not (h and b)]
-
 
 def check_congruence_closure(p1: Process, p2: Process,
                              contexts: Optional[list[Context]] = None,

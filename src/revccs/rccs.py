@@ -423,12 +423,6 @@ def barbs(t: RTerm) -> frozenset:
                      if not lbl.action.is_tau)
 
 
-def barb(t: RTerm, a: Action) -> bool:
-    if a.is_tau:
-        raise ValueError("barbs are visible actions only")
-    return a in barbs(t)
-
-
 # ---------------------------------------------------------------------------
 # Reachable state graph
 
@@ -453,8 +447,9 @@ def reachable_states(t: RTerm, max_states: Optional[int] = None) -> StateGraph:
     """All states reachable by forward and backward moves, keyed canonically.
 
     By the loop lemma these are exactly the states the origin reaches by
-    forward moves, so only those are explored.  Edges are recorded in the
-    forward direction only; every edge can also be traversed backward.
+    forward moves, so only those are explored, the origin first.  Edges are
+    recorded forward only, a node's after the first edge into it; every
+    edge can also be traversed backward.
     More than ``max_states`` states raise ``ValueError``.
     """
     t = normalize(t)

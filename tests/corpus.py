@@ -10,10 +10,11 @@ a rewritten term within six, and the processes an expansion composes within
 two events each.  ``ccs_steps``, the plain forward-only steps of a term, is
 the reference the tests hold denotations and reversible steps against,
 ``violations`` checks that an event map is a morphism of structures, and
-``recursive_causes`` is the reference for ``ConfStruct.causes``, and
-``reference_embeds`` and ``reference_isomorphic`` for ``embeds`` and
-``isomorphic``.  The structure helpers only the tests use live here too:
-``restrict_events``, ``parallel_full`` and ``transitions``, and
+``recursive_causes`` is the reference for ``ConfStruct.causes``,
+``reference_residual`` for ``residual``, and ``reference_embeds`` and
+``reference_isomorphic`` for ``embeds`` and ``isomorphic``.  The helpers
+only the tests use live here too: ``restrict_events``, ``parallel_full``,
+``transitions``, ``barb``, ``address_to_json`` and ``discriminating``, and
 ``broken_memory`` is an incoherent reversible term.
 """
 
@@ -28,10 +29,12 @@ from revccs.syntax import (TAU, Action, CcsTerm, Nil, NIL, Par, Prefix,
                            detect_auto_conflict_or_concurrency, free_names,
                            fresh_name, inp, is_collapsed, out, parse,
                            push_restrictions, rename_free, sum_of, unparse)
+from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, Morphism, PairLabel, ProductResult,
                                SyncEvent, depth, parallel, prune)
 from revccs.encoding import encode_ccs
-from revccs.rccs import FORK, Monitored, Past, RPar, _branches, ccs_state_key
+from revccs.rccs import (FORK, Monitored, Past, RPar, RTerm, _branches, barbs,
+                         ccs_state_key)
 
 
 ACTIONS = [inp("a"), out("a"), inp("b"), out("b")]
@@ -276,6 +279,14 @@ def transitions(c: ConfStruct, x: frozenset) -> set[tuple]:
             | {(e, "bwd") for e in c.retractions(x)})
 
 
+def reference_residual(c: ConfStruct, x: frozenset) -> ConfStruct:
+    """The structure of the futures of configuration ``x``."""
+    m = c.mask_of(frozenset(x))         # NotAConfiguration unless it is one
+    configs = [c.config(y ^ m) for y in c.exts if y & m == m]
+    events = set().union(*configs)
+    return ConfStruct(events, configs, {e: c.label(e) for e in events})
+
+
 def recursive_causes(c: ConfStruct, y: int, e: int) -> int:
     """The strict causes of event ``e`` in configuration ``y``, as a mask.
 
@@ -329,7 +340,7 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
     order = sorted(c1.events, key=lambda e: (depth(c1, e), repr(e)))
     by_event = {e: [x for x in c1.configs if e in x] for e in order}
     candidates = {
-        e: [f for f in c2.events
+        e: [f for f in c2.tags
             if c2.label(f) == c1.label(e)
             and (not require_onto or depth(c2, f) == depth(c1, e))]
         for e in order
@@ -368,6 +379,25 @@ def _embed_search(c1: ConfStruct, c2: ConfStruct, require_onto: bool) -> dict | 
         return None
 
     return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# Barbs, address serialization and discriminating contexts
+
+def barb(t: RTerm, a: Action) -> bool:
+    if a.is_tau:
+        raise ValueError("barbs are visible actions only")
+    return a in barbs(t)
+
+
+def address_to_json(addr) -> dict:
+    ids = cs.canonical_event_ids(addr.struct)
+    return {"origin": cs.to_json(addr.struct),
+            "current": sorted(ids[e] for e in addr.config)}
+
+
+def discriminating(report) -> list:
+    return [ctx for ctx, h, b in report.entries if not (h and b)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Configuration structures: axioms, constructions, causality, morphisms."""
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revccs
 from corpus import (enumerated_terms, is_morphism, parallel_full, random_terms,
                     recursive_causes, reference_embeds, reference_isomorphic,
-                    restrict_events, transitions, violations)
+                    reference_residual, restrict_events, transitions,
+                    violations)
 from revccs.syntax import TAU, Par, collapse, inp, out, parse, unparse
 from revccs import confstruct as cs
 from revccs.confstruct import (ConfStruct, EMPTY, Morphism, NotAConfiguration,
@@ -252,6 +258,22 @@ class TestResidual:
         with pytest.raises(NotAConfiguration):
             residual(c, frozenset({top}))
 
+    def test_matches_the_reference(self):
+        # residuals restricted from masks against the frozenset rebuild, at
+        # every configuration: corpus structures, random terms, three
+        # parallel compositions kept apart, and two structures whose b is in
+        # no configuration (under a parallel composition the product prunes
+        # it, so (a)a.b.0 | c.0 has no dead event)
+        terms = enumerated_terms() + random_terms(60, seed=7) + [
+            collapse(parse(t), par_rule=False)
+            for t in ("tau.0 | tau.0 | tau.0", "a.0 | a.0 | a.0", "a.a.0 | 'a.0 | 'a.0")]
+        dead = [encode_ccs(parse(t)) for t in ("(a)a.b.0", "c.(a)a.b.0")]
+        assert all(None in c.depths for c in dead)
+        for c in list(map(encode_ccs, terms)) + dead:
+            for x in c.configs:
+                r, ref = residual(c, x), reference_residual(c, x)
+                assert r == ref and r.exts == ref.exts, (c, x)
+
     def test_composition(self):
         c = encode_ccs(parse("a.0 | b.c.0"))
         for x in c.configs:
@@ -477,6 +499,30 @@ class TestComparison:
                 assert same == reference_isomorphic(c1, c2)
                 found[mapped is not None, same] += 1
         assert found[True, True] and found[True, False] and found[False, False]
+
+
+    def test_embedding_takes_the_lowest_bit(self):
+        # eight interchangeable a events: the map picks the lowest-bit one
+        c2 = encode_ccs(parse(" | ".join(["a.0"] * 8)))
+        c1 = encode_ccs(parse("a.0"))
+        assert embeds(c1, c2) == {c1.tags[0]: c2.tags[c2.tag_labels.index(A)]}
+
+    def test_embedding_same_in_every_process(self):
+        # events hold None, whose hash is its address, so set order changes
+        # per process even under one hash seed
+        code = ("from revccs.confstruct import embeds; "
+                "from revccs.encoding import encode_ccs; "
+                "from revccs.syntax import parse; "
+                "print(embeds(encode_ccs(parse('a.0')), "
+                "encode_ccs(parse('a.0 | b.a.0 | a.0'))))")
+        src = str(Path(revccs.__file__).resolve().parent.parent)
+        maps = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "PYTHONHASHSEED": seed}).stdout
+                for seed in ("1", "2", "3")}
+        here = embeds(encode_ccs(parse("a.0")), encode_ccs(parse("a.0 | b.a.0 | a.0")))
+        assert maps == {f"{here}\n"}
 
 
 class TestSerialization:

@@ -2,15 +2,15 @@
 
 import pytest
 
-from corpus import broken_memory, is_morphism
+from corpus import address_to_json, broken_memory, is_morphism, random_terms
 from revccs.syntax import (Hole, Par, Prefix, Process, Record, Restrict, Sum,
                            count_holes, inp, instantiate, out, parse,
-                           parse_context)
+                           parse_context, unparse)
 from revccs.confstruct import (Morphism, depth, embeds, isomorphic, residual,
                                validate)
 from revccs import encoding
 from revccs.rccs import (IncoherentTerm, TransitionLabel, erase, forward_steps,
-                         lift, normalize, trace_to_origin)
+                         lift, normalize, reachable_states, trace_to_origin)
 from revccs.encoding import (Address, AmbiguousEvent, CorrespondenceFailure,
                              NoMatchingEvent, address,
                              check_operational_correspondence, encode_ccs,
@@ -133,7 +133,7 @@ class TestAddress:
             address(encode_ccs(parse("a.0 + a.0")), list(zip(trace, states[1:])))
 
     def test_json(self):
-        data = encode_rccs(run(parse("a.0 | b.0"), "a")).to_json()
+        data = address_to_json(encode_rccs(run(parse("a.0 | b.0"), "a")))
         assert set(data) == {"origin", "current"}
         assert len(data["current"]) == 1
 
@@ -262,3 +262,27 @@ class TestCorrespondence:
                 [(relabelled, step)] if t == start else []))
             report = check_operational_correspondence(start)
             assert report.mismatches[0] == message
+
+    def test_one_address_per_term(self, monkeypatch):
+        # criterion 6's terms: encode_rccs addresses each origin, and every
+        # other state is addressed off the state graph's edges
+        calls = []
+        monkeypatch.setattr(encoding, "encode_rccs",
+                            lambda t: calls.append(t) or encode_rccs(t))
+        states = 0
+        for p in random_terms(500):
+            report = check_operational_correspondence(lift(p))
+            assert report.ok, report.mismatches
+            states += report.states_checked
+        assert (len(calls), states) == (500, 2139)
+
+    def test_walk_matches_replayed_addresses(self):
+        # each node's address off the graph's edges against its own replay
+        # from the origin
+        for p in random_terms(100):
+            graph = reachable_states(lift(p))
+            struct, configs = encoding._addresses(graph)
+            assert configs.keys() == graph.nodes.keys()
+            for key, node in graph.nodes.items():
+                addr = encode_rccs(node)
+                assert (addr.struct, addr.config) == (struct, configs[key]), unparse(p)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from corpus import broken_memory, ccs_steps, enumerated_terms
+from corpus import barb, broken_memory, ccs_steps, enumerated_terms
 from revccs.syntax import NIL, inp, parse, unparse
 from revccs.rccs import (FORK, IncoherentTerm, Monitored, Past, RPar,
-                         RRestrict, backward_steps, barb, barbs,
+                         RRestrict, backward_steps, barbs,
                          ccs_state_key, erase, forward_steps,
                          is_coherent, lift, normalize, origin,
                          reachable_states, state_key, trace_to_origin)
